@@ -12,9 +12,8 @@ The submodules are the API surface:
     verify    seeded randomized invariant suites
     cli       the heis-aut entry point
 
-Arithmetic kernels run on a compiled backend when the extension is
-built (backend_name() tells you which); results are identical either
-way, all integer-exact.
+All arithmetic is integer-exact pure Python; backend_name() always
+returns "pure" and is kept for the reports that record it.
 """
 
 from . import aut, cocycles, gl2, heis, verify, zlattice

@@ -1,22 +1,15 @@
-"""Kernel backend selection.
+"""The arithmetic kernels used by heis, gl2 and aut.
 
-Prefers the compiled module ``heisaut._speedups`` when it has been
-built, otherwise uses the pure-Python twin ``heisaut._kernels``.  Set
-``HEISAUT_PURE=1`` in the environment to force the pure kernels (the
-backend-parity tests and the benchmark use this).
+``heisaut._kernels`` is the only backend.  This module stays as the one
+place the value modules import their kernels from, so the kernel layer
+can be found (and traced) under a single name.  ``backend_name()`` and
+the ``backend`` key of ``heis-aut verify --json`` are kept for the
+reports that record them; both always say ``"pure"``.
 """
 
-import os
-
-if os.environ.get("HEISAUT_PURE", "") not in ("", "0"):
-    from . import _kernels as kernels
-else:
-    try:
-        from . import _speedups as kernels  # type: ignore[no-redef]
-    except ImportError:
-        from . import _kernels as kernels  # type: ignore[no-redef]
+from . import _kernels as kernels
 
 
 def backend_name() -> str:
-    """Name of the active kernel backend: 'compiled' or 'pure'."""
-    return "compiled" if kernels.__name__.endswith("_speedups") else "pure"
+    """Name of the kernel backend: always 'pure'."""
+    return "pure"

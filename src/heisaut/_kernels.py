@@ -1,9 +1,7 @@
-"""Pure-Python arithmetic kernels.
+"""Pure-Python arithmetic kernels, the package's only backend.
 
-Fallback twin of the compiled module ``heisaut._speedups``; one of the
-two is picked at import time by ``heisaut._backend``.  Both operate on
-plain Python integers (arbitrary precision, never truncated) and agree
-bit-for-bit on every input.
+The value modules reach them through ``heisaut._backend``.  They operate
+on plain Python integers (arbitrary precision, never truncated).
 
 Conventions baked into the kernels:
 

@@ -235,7 +235,7 @@ def is_aut_plus(omega: Automorphism) -> bool:
     return omega.matrix.det == 1
 
 
-_PAIR_RE = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
+_PAIR_RE = re.compile(r"\(\s*(-?[0-9]+)\s*,\s*(-?[0-9]+)\s*\)")
 
 
 def parse_pair(text: str) -> InnerVector:
@@ -251,7 +251,7 @@ def parse_pair(text: str) -> InnerVector:
 
 
 _AUT_RE = re.compile(
-    r"\{\s*M\s*=\s*(\[\[.*?\]\])\s*,\s*r\s*=\s*(-?\d+)\s*,\s*u\s*=\s*(-?\d+)\s*\}"
+    r"\{\s*M\s*=\s*(\[\[.*?\]\])\s*,\s*r\s*=\s*(-?[0-9]+)\s*,\s*u\s*=\s*(-?[0-9]+)\s*\}"
 )
 
 

@@ -27,6 +27,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def integer(text: str) -> int:
+    # int() also reads non-ASCII decimal digits such as "\u0661"; the
+    # value syntaxes accept ASCII digits only
+    if not text.isascii():
+        raise ValueError(text)
+    return int(text)
+
+
 def _emit(args: argparse.Namespace, plain: str, data: dict) -> None:
     if args.json:
         print(json.dumps(data, sort_keys=True))
@@ -320,7 +328,7 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_elem_inv)
     p = elem_sub.add_parser("pow", parents=[common], help="n-th power")
     p.add_argument("g")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=integer)
     p.set_defaults(handler=_cmd_elem_pow)
     p = elem_sub.add_parser("comm", parents=[common],
                             help="commutator g1 g2 g1^-1 g2^-1")
@@ -370,7 +378,7 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_aut_inner)
     p = aut_sub.add_parser("rd", parents=[common],
                            help="the shear automorphism R_d")
-    p.add_argument("d", type=int)
+    p.add_argument("d", type=integer)
     p.add_argument("--apply", metavar="G")
     p.set_defaults(handler=_cmd_aut_rd)
     p = aut_sub.add_parser("normal-form", parents=[common],
@@ -453,8 +461,8 @@ def build_parser() -> _Parser:
                         + ", ".join(verify.available_suites()))
     v.add_argument("--suite", action="append", metavar="NAME",
                    help="additional suite to run (repeatable)")
-    v.add_argument("--samples", type=int, default=1000)
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--samples", type=integer, default=1000)
+    v.add_argument("--seed", type=integer, default=0)
     v.set_defaults(handler=_cmd_verify)
 
     return parser

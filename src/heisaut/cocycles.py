@@ -54,21 +54,23 @@ def _phi_power(
 ) -> tuple[InnerVector, Gl2Matrix]:
     """(phi(l^exp), L^exp) given phi(l) = val, by the cocycle identity.
 
-    phi(l^{2k}) = phi(l^k) + L^k.phi(l^k) and phi(l^-k) = -L^-k.phi(l^k),
-    so exponents of any size cost O(log exp) exact operations.
+    Square-and-multiply over the bits of |exp|: phi(l^j l^k) =
+    phi(l^j) + L^j.phi(l^k) both squares the base power and multiplies
+    it into the result, and phi(l^-k) = -L^-k.phi(l^k).  Exponents of
+    any size cost O(log |exp|) exact operations and no recursion.
     """
+    n = abs(exp)
+    v, p = ZERO_VECTOR, gl2.IDENTITY
+    base_v, base_p = val, mat
+    while n:
+        if n & 1:
+            v, p = v + act(p, base_v), p * base_p
+        n >>= 1
+        if n:
+            base_v, base_p = base_v + act(base_p, base_v), base_p * base_p
     if exp < 0:
-        v, p = _phi_power(mat, val, -exp)
         pinv = gl2.mat_inverse(p)
         return -act(pinv, v), pinv
-    if exp == 0:
-        return ZERO_VECTOR, gl2.IDENTITY
-    half, phalf = _phi_power(mat, val, exp // 2)
-    v = half + act(phalf, half)
-    p = phalf * phalf
-    if exp & 1:
-        v = v + act(p, val)
-        p = p * mat
     return v, p
 
 
@@ -339,7 +341,7 @@ def twist(sigma0: SectionOnGenerators, phi: Cocycle) -> SectionOnGenerators:
     )
 
 
-_PAIR = r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)"
+_PAIR = r"\(\s*(-?[0-9]+)\s*,\s*(-?[0-9]+)\s*\)"
 _COCYCLE_RE = re.compile(
     r"\{\s*rho\s*=\s*" + _PAIR + r"\s*,\s*tau\s*=\s*" + _PAIR
     + r"\s*,\s*kappa\s*=\s*" + _PAIR + r"\s*\}"

@@ -345,8 +345,8 @@ def decompose(m: Gl2Matrix, strategy: str = "left") -> GeneratorWord:
 
 
 _MATRIX_RE = re.compile(
-    r"\[\s*\[\s*(-?\d+)\s*,\s*(-?\d+)\s*\]\s*,"
-    r"\s*\[\s*(-?\d+)\s*,\s*(-?\d+)\s*\]\s*\]"
+    r"\[\s*\[\s*(-?[0-9]+)\s*,\s*(-?[0-9]+)\s*\]\s*,"
+    r"\s*\[\s*(-?[0-9]+)\s*,\s*(-?[0-9]+)\s*\]\s*\]"
 )
 
 
@@ -366,7 +366,7 @@ def format_matrix(m: Gl2Matrix) -> str:
     return f"[[{m.m11},{m.m12}],[{m.m21},{m.m22}]]"
 
 
-_TOKEN_RE = re.compile(r"([ABD])(?:\^(-?\d+))?")
+_TOKEN_RE = re.compile(r"([ABD])(?:\^(-?[0-9]+))?")
 
 _CHAR_TO_LETTER = {letter.value: letter for letter in Letter}
 

@@ -149,7 +149,7 @@ def is_central(g: HeisElement) -> bool:
     return g.a == 0 and g.b == 0
 
 
-_ELEMENT_RE = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
+_ELEMENT_RE = re.compile(r"\(\s*(-?[0-9]+)\s*,\s*(-?[0-9]+)\s*,\s*(-?[0-9]+)\s*\)")
 
 
 def parse_element(text: str) -> HeisElement:

@@ -148,6 +148,17 @@ class TestExtend:
         right = gl2.decompose(m, strategy="right")
         assert extend(phi, left) == extend(phi, right)
 
+    @pytest.mark.parametrize("k", [1100, 2000])
+    @pytest.mark.parametrize("sym", tuple(Letter), ids=lambda s: s.name)
+    def test_huge_exponents(self, sym, k):
+        # the exponent has more bits than the interpreter's recursion limit
+        a = InnerVector(3, -5)
+        phi = coboundary(a)
+        for n in (1 << k, -(1 << k), (1 << k) + 1):
+            m = gl2.eval_letters(((sym, n),))
+            assert extend(phi, gl2.GeneratorWord(((sym, n),))) == \
+                act(m, a) - a
+
 
 class TestLattice:
     def test_report(self):
