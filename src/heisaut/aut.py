@@ -14,11 +14,11 @@ triple (M, r, u) is an automorphism, so equality of automorphisms is
 just equality of data.
 
 The projection splits: section() sends a matrix to an automorphism by
-decomposing it into the generators A, B, D and composing fixed
-generator images.  The kernel of the projection is the inner
-automorphisms, identified with Z + Z by inner(); every automorphism
-factors uniquely as inner(v) composed with section(M), which is what
-normal_form() computes.
+a closed form in its entries, the unique homomorphism that sends the
+generators A, B, D to fixed generator images.  The kernel of the
+projection is the inner automorphisms, identified with Z + Z by
+inner(); every automorphism factors uniquely as inner(v) composed with
+section(M), which is what normal_form() computes.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from . import gl2
 from ._backend import kernels
-from .gl2 import Gl2Matrix, Letter
+from .gl2 import Gl2Matrix
 from .heis import HeisElement, _check_int
 
 
@@ -182,31 +182,38 @@ def project(omega: Automorphism) -> Gl2Matrix:
     return omega.matrix
 
 
-# Images of the generator powers under the section.  A^e and B^e map to
-# offset-free data; D picks up u = -1 because it sends y to (0, 1, -1).
-def _letter_section(sym: Letter, exp: int) -> Automorphism:
-    if sym is Letter.RHO:
-        return Automorphism(Gl2Matrix(1, exp, 0, 1), 0, 0)
-    if sym is Letter.TAU:
-        return Automorphism(Gl2Matrix(1, 0, -exp, 1), 0, 0)
-    return Automorphism(gl2.D, 0, -1) if exp % 2 else IDENTITY_AUT
+def section(m: Gl2Matrix) -> Automorphism:
+    """The homomorphic section of the projection, in closed form:
 
+        section(M) = (M, f(m11, m21), f(m12, m22)),
+        f(p, q) = (p*q - p - q + det M) / 2.
 
-def section(m: Gl2Matrix, strategy: str = "left") -> Automorphism:
-    """The homomorphic section of the projection: decompose m into a
-    generator word and compose the generator images.  The result does
-    not depend on the word (the generator images satisfy the defining
-    relations), so the decomposition strategy only affects the route.
+    Proof.  The division is exact: det M - 1 is 0 or -2, and the columns
+    of a unimodular matrix are primitive, so p or q is odd and
+    (p - 1)(q - 1) = p*q - p - q + 1 is even.  The formula gives the
+    generator images (A, 0, 0), (B, 0, 0) and (D, 0, -1).  It is
+    multiplicative: by apply(), the offset that compose(section(N),
+    section(M)) puts on the image of a column (p, q) of M is
+
+        det N * f_M(p, q) + p*f_N(n11, n21) + q*f_N(n12, n22)
+            + C(p,2)*n11*n21 + C(q,2)*n12*n22 + p*q*n12*n21,
+
+    and twice it expands to P*Q - P - Q + det N * det M with
+    (P, Q) = N (p, q), i.e. to twice the offset section(N*M) puts on the
+    matching column of N*M (the p*q terms collect to
+    (det N + 2*n12*n21) p*q = (n11*n22 + n12*n21) p*q).  A homomorphism
+    is fixed by its values on generators, so this is the section.
 
     >>> section(gl2.IDENTITY) == IDENTITY_AUT
+    True
+    >>> section(gl2.D) == Automorphism(gl2.D, 0, -1)
     True
     >>> str(apply(section(gl2.B), HeisElement(1, 1, 0)))
     '(1,0,0)'
     """
-    result = IDENTITY_AUT
-    for sym, exp in gl2.decompose(m, strategy).letters:
-        result = compose(result, _letter_section(sym, exp))
-    return result
+    d = m.det
+    return Automorphism(m, (m.m11 * m.m21 - m.m11 - m.m21 + d) // 2,
+                        (m.m12 * m.m22 - m.m12 - m.m22 + d) // 2)
 
 
 def normal_form(omega: Automorphism) -> tuple[InnerVector, Gl2Matrix]:

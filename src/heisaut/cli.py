@@ -113,7 +113,7 @@ def _cmd_aut_invert(args) -> int:
 
 
 def _cmd_aut_section(args) -> int:
-    return _emit_aut(args, aut.section(gl2.parse_matrix(args.matrix), args.strategy))
+    return _emit_aut(args, aut.section(gl2.parse_matrix(args.matrix)))
 
 
 def _cmd_aut_project(args) -> int:
@@ -364,7 +364,8 @@ def build_parser() -> _Parser:
                            help="the section over a matrix")
     p.add_argument("matrix")
     p.add_argument("--strategy", choices=("left", "right"), default="left",
-                   help="decomposition route (the result is the same)")
+                   help="ignored: the section is computed in closed form; "
+                        "the flag is kept for compatibility")
     p.add_argument("--apply", metavar="G")
     p.set_defaults(handler=_cmd_aut_section)
     p = aut_sub.add_parser("project", parents=[common],
@@ -469,12 +470,22 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    # values are exact at any size, so lift Python's int<->str digit
+    # limit (Python 3.10.7 on; 0 means none) for this call only; library
+    # callers keep their own setting
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
-        return args.handler(args)
-    except ValueError as exc:
-        print(f"heis-aut: error: {exc}", file=sys.stderr)
-        return 1
+        args = build_parser().parse_args(argv)
+        try:
+            return args.handler(args)
+        except ValueError as exc:
+            print(f"heis-aut: error: {exc}", file=sys.stderr)
+            return 1
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -4,7 +4,13 @@ For the natural action of GL(2,Z) on Z + Z, a 1-cocycle is a map phi
 with phi(gh) = phi(g) + g.phi(h).  Such a map is determined by its
 values on the generators rho, tau, kappa, and a value triple defines a
 cocycle exactly when extending it along each defining relator of
-GL(2,Z) gives (0,0); Cocycle validates that at construction.
+GL(2,Z) gives (0,0).  That extension is linear in the six value
+coordinates, so Cocycle validates at construction with one cached
+10 x 6 integer matrix; the relator fold that derives the matrix stays
+available as extend() and as the oracle in verify.  A section given on
+generators is validated the same way: its values differ from the
+canonical section's by inner automorphisms, and those differences must
+form a cocycle.
 
 The punchline this module makes computable: the cocycle lattice has
 rank 2 and every cocycle is a coboundary phi(g) = g.a - a, so the
@@ -16,6 +22,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
+from operator import mul
+from typing import Optional, Sequence
 
 from . import gl2
 from .aut import (
@@ -27,7 +36,9 @@ from .aut import (
     compose,
     inner,
     invert,
+    normal_form,
     parse_automorphism,
+    section,
 )
 from .aut import power as aut_power
 from .gl2 import GeneratorWord, Gl2Matrix, Letter, LetterPair
@@ -92,6 +103,41 @@ def _extend_values(
     return total
 
 
+@cache
+def _relator_rows() -> tuple[tuple[str, Vector, Vector], ...]:
+    """(name, p-row, q-row) per relator of gl2.RELATORS: the extension of
+    a value triple along the relator is (p-row . x, q-row . x) for the
+    flattened triple x, read off by extending the six unit triples."""
+    units = []
+    for slot in range(6):
+        coords = [0] * 6
+        coords[slot] = 1
+        units.append(tuple(
+            InnerVector(coords[2 * i], coords[2 * i + 1]) for i in range(3)))
+    rows = []
+    for name, pairs in gl2.RELATORS:
+        images = [_extend_values(*unit, pairs) for unit in units]
+        rows.append((name, tuple(v.p for v in images),
+                     tuple(v.q for v in images)))
+    return tuple(rows)
+
+
+def _violation(
+    v_rho: InnerVector, v_tau: InnerVector, v_kappa: InnerVector
+) -> Optional[tuple[str, InnerVector]]:
+    # the first relator whose extension is not (0,0), with that extension;
+    # zero values pass every relator without the matrix, which keeps its
+    # build (about 3 ms) out of import, where ZERO_COCYCLE is made
+    x = (v_rho.p, v_rho.q, v_tau.p, v_tau.q, v_kappa.p, v_kappa.q)
+    if not any(x):
+        return None
+    for name, row_p, row_q in _relator_rows():
+        p, q = sum(map(mul, row_p, x)), sum(map(mul, row_q, x))
+        if p or q:
+            return name, InnerVector(p, q)
+    return None
+
+
 @dataclass(frozen=True, slots=True)
 class Cocycle:
     """Generator values of a 1-cocycle; relator-checked at construction."""
@@ -101,10 +147,9 @@ class Cocycle:
     v_kappa: InnerVector
 
     def __post_init__(self) -> None:
-        for name, pairs in gl2.RELATORS:
-            value = _extend_values(self.v_rho, self.v_tau, self.v_kappa, pairs)
-            if value != ZERO_VECTOR:
-                raise RelatorViolation(name, f"extension gives {value}, not (0,0)")
+        bad = _violation(self.v_rho, self.v_tau, self.v_kappa)
+        if bad is not None:
+            raise RelatorViolation(bad[0], f"extension gives {bad[1]}, not (0,0)")
 
     def value(self, sym: Letter) -> InnerVector:
         if sym is Letter.RHO:
@@ -216,29 +261,14 @@ def cocycle_lattice() -> LatticeReport:
     coboundary lattice.
 
     Each relator extension is linear in the six unknown coordinates, so
-    its matrix is read off by extending unit value triples; the five
-    relators give a 10 x 6 integer system whose kernel is the cocycle
-    lattice.
+    the five relators give a 10 x 6 integer system (the one Cocycle
+    validates with) whose kernel is the cocycle lattice.
 
     >>> report = cocycle_lattice()
     >>> report.rank, report.equals_coboundary_lattice
     (2, True)
     """
-    units = []
-    for slot in range(6):
-        coords = [0] * 6
-        coords[slot] = 1
-        units.append(
-            tuple(
-                InnerVector(coords[2 * i], coords[2 * i + 1])
-                for i in range(3)
-            )
-        )
-    rows = []
-    for _, pairs in gl2.RELATORS:
-        images = [_extend_values(*unit, pairs) for unit in units]
-        rows.append([v.p for v in images])
-        rows.append([v.q for v in images])
+    rows = [row for _, row_p, row_q in _relator_rows() for row in (row_p, row_q)]
     basis = tuple(kernel_basis(rows))
     cob_basis = tuple(
         _flatten((phi.v_rho, phi.v_tau, phi.v_kappa))
@@ -260,10 +290,15 @@ def in_cocycle_lattice(phi: Cocycle, report: LatticeReport) -> bool:
 @dataclass(frozen=True, slots=True)
 class SectionOnGenerators:
     """A homomorphic section of the projection Aut(G) -> GL(2,Z), given
-    by its values on rho, tau, kappa.  Construction checks that each
-    value projects onto the matching generator matrix and that the five
-    relators hold at the automorphism level, which is exactly what makes
-    the assignment extend to a well-defined section on all of GL(2,Z)."""
+    by its values on rho, tau, kappa.
+
+    Construction checks that each value projects onto the matching
+    generator matrix L, so it is inner(phi(l)) o section(L) for a vector
+    phi(l), and that phi = section_difference(self, canonical_section())
+    is a Cocycle.  That is exactly the five relators at the automorphism
+    level: the product of inner(phi(l)) o section(L) over a relator word
+    is inner of phi extended over the word, because section is a
+    homomorphism and section(M) o inner(v) = inner(M.v) o section(M)."""
 
     alpha_rho: Automorphism
     alpha_tau: Automorphism
@@ -277,12 +312,7 @@ class SectionOnGenerators:
                 raise ValueError(
                     f"value on {sym.name.lower()} must project to {want}, got {got}"
                 )
-        for name, pairs in gl2.RELATORS:
-            result = IDENTITY_AUT
-            for sym, exp in pairs:
-                result = compose(result, aut_power(self.value(sym), exp))
-            if result != IDENTITY_AUT:
-                raise RelatorViolation(name, f"evaluates to {result}, not id")
+        _canonical_difference(self)
 
     def value(self, sym: Letter) -> Automorphism:
         if sym is Letter.RHO:
@@ -291,10 +321,22 @@ class SectionOnGenerators:
             return self.alpha_tau
         return self.alpha_kappa
 
-    def at(self, m: Gl2Matrix, strategy: str = "left") -> Automorphism:
-        """The section evaluated on an arbitrary matrix, via decompose."""
+    def at(self, m: Gl2Matrix) -> Automorphism:
+        """The section evaluated on an arbitrary matrix.
+
+        It is the canonical section twisted by the coboundary of the a
+        that solve_coboundary finds for section_difference(self,
+        canonical_section()), i.e. inner(M.a - a) o section(M).
+        """
+        a = solve_coboundary(_canonical_difference(self))
+        return compose(inner(act(m, a) - a), section(m))
+
+    def eval_letters(self, pairs: Sequence[LetterPair]) -> Automorphism:
+        """Product of the generator values' powers in order, over raw
+        letters (no normalization, so kappa^2 stays a real check).  The
+        generic word route, kept as the oracle for at() and section()."""
         result = IDENTITY_AUT
-        for sym, exp in gl2.decompose(m, strategy).letters:
+        for sym, exp in pairs:
             result = compose(result, aut_power(self.value(sym), exp))
         return result
 
@@ -310,6 +352,13 @@ def canonical_section() -> SectionOnGenerators:
         Automorphism(gl2.B, 0, 0),
         Automorphism(gl2.D, 0, -1),
     )
+
+
+def _canonical_difference(alpha: SectionOnGenerators) -> Cocycle:
+    # section_difference(alpha, canonical_section()) without building
+    # the canonical section: its values are section(A), section(B),
+    # section(D), and normal_form divides exactly those out
+    return Cocycle(*(normal_form(alpha.value(sym))[0] for sym in _FLAT_ORDER))
 
 
 def section_difference(

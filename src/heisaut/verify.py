@@ -422,10 +422,13 @@ def _relations() -> list[tuple[str, str, str]]:
         gl2.Letter.TAU: aut.section(gl2.B),
         gl2.Letter.KAPPA: aut.section(gl2.D),
     }
+    on_generators = cocycles.canonical_section()
+    for sym, value in sigma.items():
+        if on_generators.value(sym) != value:
+            failures.append((f"canonical value on {sym.name.lower()}",
+                             str(value), str(on_generators.value(sym))))
     for name, pairs in gl2.RELATORS:
-        product = aut.IDENTITY_AUT
-        for sym, exp in pairs:
-            product = aut.compose(product, aut.power(sigma[sym], exp))
+        product = on_generators.eval_letters(pairs)
         if product != aut.IDENTITY_AUT:
             failures.append(
                 (f"section relator {name}", str(aut.IDENTITY_AUT), str(product)))
@@ -467,11 +470,15 @@ def _section_hom(rng: random.Random) -> Outcome:
 
 @_sampled("section-welldef")
 def _section_welldef(rng: random.Random) -> Outcome:
+    # the closed form against the generic fold over two different words
     m = _rand_matrix(rng)
-    left = aut.section(m, strategy="left")
-    right = aut.section(m, strategy="right")
-    if left != right:
-        return _mismatch(f"M={m}", left, right)
+    closed = aut.section(m)
+    sigma0 = cocycles.canonical_section()
+    for strategy in ("left", "right"):
+        w = gl2.decompose(m, strategy)
+        folded = sigma0.eval_letters(w.letters)
+        if folded != closed:
+            return _mismatch(f"strategy={strategy} M={m} word={w}", folded, closed)
     return None
 
 
@@ -554,14 +561,44 @@ def _cocycle_lattice() -> list[tuple[str, str, str]]:
         phi = cocycles.coboundary(a)
         if not cocycles.in_cocycle_lattice(phi, report):
             failures.append((f"coboundary({a}) in lattice", "member", str(phi)))
-    try:
-        cocycles.validate_cocycle(
-            aut.InnerVector(0, 1), aut.ZERO_VECTOR, aut.ZERO_VECTOR)
-        failures.append(
-            ("rho=(0,1) rejected", "RelatorViolation", "validated"))
-    except cocycles.RelatorViolation:
-        pass
+    # the linear relator check against the relator fold it was derived
+    # from, on coboundaries and on triples that break each relator
+    v, zero = aut.InnerVector, aut.ZERO_VECTOR
+    cob = cocycles.coboundary(v(3, -2))
+    good = (cob.v_rho, cob.v_tau, cob.v_kappa)
+    triples = [
+        good,
+        (v(1, 0), zero, zero), (v(0, 1), zero, zero),
+        (zero, v(1, 0), zero), (zero, v(0, 1), zero),
+        (zero, zero, v(1, 0)), (zero, zero, v(0, 1)),
+        (good[0] + v(0, 1), good[1], good[2]),
+        (good[0], good[1] + v(5, 0), good[2]),
+        (good[0], good[1], good[2] + v(0, -7)),
+    ]
+    for triple in triples:
+        expected = _fold_violation(triple)
+        try:
+            cocycles.Cocycle(*triple)
+            raised = None
+        except cocycles.RelatorViolation as exc:
+            raised = exc.relator
+        linear = cocycles._violation(*triple)
+        if linear != expected or raised != (expected[0] if expected else None):
+            failures.append((
+                "linear check = relator fold on " + ", ".join(map(str, triple)),
+                str(expected), f"{linear}, Cocycle raised {raised}"))
     return failures
+
+
+def _fold_violation(
+    triple: tuple[aut.InnerVector, aut.InnerVector, aut.InnerVector]
+) -> Optional[tuple[str, aut.InnerVector]]:
+    # the first relator whose cocycle-identity fold is not (0,0)
+    for name, pairs in gl2.RELATORS:
+        value = cocycles._extend_values(*triple, pairs)
+        if value != aut.ZERO_VECTOR:
+            return name, value
+    return None
 
 
 @_sampled("coboundary-roundtrip")
@@ -617,6 +654,17 @@ def _section_twist(rng: random.Random) -> Outcome:
     if aut.project(twisted.at(m)) != m:
         return _mismatch(f"twisted section over M={m}", m,
                          aut.project(twisted.at(m)))
+    # the closed form of at() against the generic fold over a word, and
+    # the relators at the automorphism level through the same fold
+    w = gl2.decompose(m, "right")
+    folded = twisted.eval_letters(w.letters)
+    if twisted.at(m) != folded:
+        return _mismatch(f"twisted at a={a} M={m} word={w}", folded, twisted.at(m))
+    for name, pairs in gl2.RELATORS:
+        product = twisted.eval_letters(pairs)
+        if product != aut.IDENTITY_AUT:
+            return _mismatch(f"twisted relator {name} a={a}",
+                             aut.IDENTITY_AUT, product)
     return None
 
 

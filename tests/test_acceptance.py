@@ -132,9 +132,13 @@ def test_05_section_homomorphism():
         m1, m2 = rand_matrix(rng), rand_matrix(rng)
         assert section(gl2.mat_multiply(m1, m2)) == \
             compose(section(m1), section(m2))
+    alpha0 = canonical_section()
     for _ in range(1000):
         m = rand_matrix(rng)
-        assert section(m, strategy="left") == section(m, strategy="right")
+        # the closed form equals the generator fold over two different words
+        for strategy in ("left", "right"):
+            word = gl2.decompose(m, strategy)
+            assert section(m) == alpha0.eval_letters(word.letters)
         assert project(section(m)) == m
 
 

@@ -23,6 +23,7 @@ from heisaut.aut import (
     rd,
     section,
 )
+from heisaut.cocycles import canonical_section
 from heisaut.gl2 import Letter
 from heisaut.heis import IDENTITY, X, Y, Z, HeisElement, inverse, multiply
 from heisaut.heis import power as elem_power
@@ -225,7 +226,11 @@ class TestSection:
 
     @given(matrices)
     def test_strategies_agree(self, m):
-        assert section(m, strategy="left") == section(m, strategy="right")
+        # the closed form against the generator fold over both words
+        alpha0 = canonical_section()
+        for strategy in ("left", "right"):
+            word = gl2.decompose(m, strategy)
+            assert section(m) == alpha0.eval_letters(word.letters)
 
     @given(matrices)
     def test_projection_retracts(self, m):
@@ -306,3 +311,20 @@ class TestSyntax:
     def test_rejects_garbage(self, bad):
         with pytest.raises(ValueError):
             parse_automorphism(bad)
+
+
+class TestLargeSize:
+    # the 4165-bit matrix of a 6000-letter word, and 5000-bit offsets
+    BIG = gl2.eval_word(gl2.parse_word("A B^-1 " * 3000))
+    V = InnerVector(2**5000 + 1, -(3**3100))
+
+    @pytest.mark.parametrize("strategy", ["left", "right"])
+    def test_closed_form_matches_word_fold(self, strategy):
+        word = gl2.decompose(self.BIG, strategy)
+        assert section(self.BIG) == \
+            canonical_section().eval_letters(word.letters)
+
+    def test_normal_form(self):
+        omega = compose(inner(self.V), section(self.BIG))
+        assert normal_form(omega) == (self.V, self.BIG)
+        assert normal_form(invert(omega))[1] == gl2.mat_inverse(self.BIG)

@@ -1,6 +1,7 @@
 import json
 import shutil
 import subprocess
+import sys
 
 import pytest
 
@@ -54,6 +55,25 @@ class TestElem:
         with pytest.raises(SystemExit) as info:
             cli.main(["elem", "mul", "(1,0,0)"])
         assert info.value.code == 1
+
+
+class TestDigitLimit:
+    # results and arguments past Python's 4300-digit int<->str limit;
+    # the expected strings are built without converting an int
+    def test_pow_result_over_4300_digits(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        n = "1" + "0" * 2200
+        half = "4" + "9" * 2199 + "5" + "0" * 2199  # n(n-1)/2, 4400 digits
+        assert run(capsys, "elem", "pow", "(1,1,0)", n) == \
+            (0, f"({n},{n},{half})\n", "")
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_matrix_entry_of_5000_digits(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        nines, power = "9" * 5000, "1" + "0" * 5000
+        assert run(capsys, "gl2", "inv", f"[[{power},{nines}],[1,1]]") == \
+            (0, f"[[1,-{nines}],[-1,{power}]]\n", "")
+        assert sys.get_int_max_str_digits() == limit
 
 
 class TestAut:

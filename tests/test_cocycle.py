@@ -6,6 +6,7 @@ from heisaut import aut, gl2
 from heisaut.aut import Automorphism, InnerVector, act, compose, inner, project
 from heisaut.cocycles import (
     ZERO_COCYCLE,
+    _extend_values,
     Cocycle,
     RelatorViolation,
     SectionOnGenerators,
@@ -180,6 +181,49 @@ class TestLattice:
         assert in_cocycle_lattice(phi, cocycle_lattice())
 
 
+def fold_violation(triple):
+    # oracle: the first relator whose cocycle-identity fold is not (0,0)
+    for name, pairs in gl2.RELATORS:
+        value = _extend_values(*triple, pairs)
+        if value != InnerVector(0, 0):
+            return name, value
+    return None
+
+
+huge = st.integers(min_value=-2**5000, max_value=2**5000)
+huge_vectors = st.builds(InnerVector, huge, huge)
+
+
+class TestLinearCheckAtLargeSize:
+    @given(huge_vectors)
+    @settings(max_examples=40)
+    def test_accepts_coboundaries(self, a):
+        phi = coboundary(a)
+        triple = (phi.v_rho, phi.v_tau, phi.v_kappa)
+        assert fold_violation(triple) is None
+        assert Cocycle(*triple) == phi
+        assert solve_coboundary(phi) == a
+
+    # slot 0 (rho.p) is left out: shifting it adds the coboundary of (0, 1)
+    @given(huge_vectors, st.integers(min_value=1, max_value=5),
+           huge.filter(bool))
+    @settings(max_examples=60)
+    def test_rejects_perturbed_like_the_fold(self, a, slot, delta):
+        phi = coboundary(a)
+        coords = [c for v in (phi.v_rho, phi.v_tau, phi.v_kappa)
+                  for c in (v.p, v.q)]
+        coords[slot] += delta
+        triple = tuple(InnerVector(coords[2 * i], coords[2 * i + 1])
+                       for i in range(3))
+        expected = fold_violation(triple)
+        assert expected is not None
+        with pytest.raises(RelatorViolation) as info:
+            Cocycle(*triple)
+        name, value = expected
+        assert info.value.relator == name
+        assert str(info.value).endswith(f"extension gives {value}, not (0,0)")
+
+
 class TestSections:
     def test_canonical_matches_section_map(self):
         alpha = canonical_section()
@@ -190,7 +234,9 @@ class TestSections:
     def test_at_agrees_with_section(self, m):
         alpha = canonical_section()
         assert alpha.at(m) == aut.section(m)
-        assert alpha.at(m, strategy="right") == aut.section(m)
+        for strategy in ("left", "right"):
+            word = gl2.decompose(m, strategy)
+            assert alpha.eval_letters(word.letters) == aut.section(m)
 
     def test_rejects_wrong_projection(self):
         good = canonical_section()
