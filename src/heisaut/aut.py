@@ -18,7 +18,8 @@ a closed form in its entries, the unique homomorphism that sends the
 generators A, B, D to fixed generator images.  The kernel of the
 projection is the inner automorphisms, identified with Z + Z by
 inner(); every automorphism factors uniquely as inner(v) composed with
-section(M), which is what normal_form() computes.
+section(M), which is what normal_form() computes, and power() works
+through that factorization instead of composing bit by bit.
 """
 
 from __future__ import annotations
@@ -142,16 +143,78 @@ def invert(omega: Automorphism) -> Automorphism:
 
 
 def power(omega: Automorphism, n: int) -> Automorphism:
-    """omega composed with itself n times; negative n inverts first."""
+    """omega composed with itself n times; negative n inverts first.
+
+    With (v, M) = normal_form(omega), in closed form:
+
+        omega^n = inner(S_n v) o section(M^n),  S_n = I + M + ... + M^(n-1).
+
+    Proof by induction on n >= 0.  For n = 0 both sides are the
+    identity.  Given the claim for n, naturality section(M) o inner(w) =
+    inner(M.w) o section(M), additivity of inner and multiplicativity of
+    section give
+
+        omega^(n+1) = inner(v) o section(M) o inner(S_n v) o section(M^n)
+                    = inner(v + M S_n v) o section(M^(n+1)),
+
+    and v + M S_n v = S_(n+1) v.  (M^n, S_n v) is the n-th power of the
+    affine map x -> M x + v, computed by _affine_power on plain ints in
+    O(log n) steps; one compose assembles the result.
+
+    >>> power(rd(3), 5) == rd(15)
+    True
+    >>> power(inner(InnerVector(1, 2)), -4) == inner(InnerVector(-4, -8))
+    True
+    """
     _check_int(n, "n")
     if n < 0:
-        return power(invert(omega), -n)
+        omega, n = invert(omega), -n
+    v, m = normal_form(omega)
+    mn, sv = _affine_power(m.entries(), (v.p, v.q), n)
+    return compose(inner(InnerVector(*sv)), section(Gl2Matrix(*mn)))
+
+
+def _affine_power(
+    m: tuple[int, ...], v: tuple[int, int], n: int
+) -> tuple[tuple[int, ...], tuple[int, int]]:
+    """(M^n, S_n v) for n >= 0, S_n = I + M + ... + M^(n-1), on plain ints.
+
+    Square-and-multiply over the bits of n: the recurrence
+    (S_(j+k) v, M^(j+k)) = (S_j v + M^j S_k v, M^j M^k) both squares the
+    base power and multiplies it into the result.
+    """
+    p, s = (1, 0, 0, 1), (0, 0)
+    base_p, base_s = m, v
+    while n:
+        if n & 1:
+            s = (s[0] + p[0] * base_s[0] + p[1] * base_s[1],
+                 s[1] + p[2] * base_s[0] + p[3] * base_s[1])
+            p = kernels.mat_mul(*p, *base_p)
+        n >>= 1
+        if n:
+            base_s = (base_s[0] + base_p[0] * base_s[0] + base_p[1] * base_s[1],
+                      base_s[1] + base_p[2] * base_s[0] + base_p[3] * base_s[1])
+            base_p = kernels.mat_mul(*base_p, *base_p)
+    return p, s
+
+
+def _compose_power(omega: Automorphism, n: int) -> Automorphism:
+    """omega^n by square-and-multiply over compose, one compose per bit.
+
+    The generic route, independent of section() and normal_form(): the
+    oracle for power() in verify and the power behind
+    SectionOnGenerators.eval_letters.
+    """
+    _check_int(n, "n")
+    if n < 0:
+        omega, n = invert(omega), -n
     result, base = IDENTITY_AUT, omega
     while n:
         if n & 1:
             result = compose(result, base)
-        base = compose(base, base)
         n >>= 1
+        if n:
+            base = compose(base, base)
     return result
 
 

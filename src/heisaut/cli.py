@@ -4,14 +4,18 @@
 
 Exit codes: 0 on success, 1 on usage or parse errors, 2 when a checked
 property fails (a relator reported FAIL, an invalid cocycle, a verify
-suite with failures).  Plain output uses the textual value syntaxes;
---json emits the same fields as a JSON object.
+suite with failures).  Any other error also exits 1 with a one-line
+message, and a reader that closes stdout early (``| head``) ends the
+output silently with exit 1; no traceback reaches the terminal.  Plain
+output uses the textual value syntaxes; --json emits the same fields as
+a JSON object.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -478,14 +482,33 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
-        try:
-            return args.handler(args)
-        except ValueError as exc:
-            print(f"heis-aut: error: {exc}", file=sys.stderr)
-            return 1
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        _drop_stdout()
+        return 1
+    except ValueError as exc:
+        print(f"heis-aut: error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:
+        print(f"heis-aut: error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
+
+
+def _drop_stdout() -> None:
+    # the reader has gone: point stdout's descriptor at devnull, so the
+    # flush of what is still buffered at exit cannot raise again
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # not backed by a descriptor (a captured or closed stream)
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -6,11 +6,12 @@ values on the generators rho, tau, kappa, and a value triple defines a
 cocycle exactly when extending it along each defining relator of
 GL(2,Z) gives (0,0).  That extension is linear in the six value
 coordinates, so Cocycle validates at construction with one cached
-10 x 6 integer matrix; the relator fold that derives the matrix stays
-available as extend() and as the oracle in verify.  A section given on
-generators is validated the same way: its values differ from the
-canonical section's by inner automorphisms, and those differences must
-form a cocycle.
+10 x 6 integer matrix, derived once by the relator fold.  Because every
+cocycle is a coboundary, extend() is the coboundary closed form
+M.a - a, and the fold is the oracle it is checked against in verify.
+A section given on generators is validated the same way: its values
+differ from the canonical section's by inner automorphisms, and those
+differences must form a cocycle.
 
 The punchline this module makes computable: the cocycle lattice has
 rank 2 and every cocycle is a coboundary phi(g) = g.a - a, so the
@@ -32,6 +33,8 @@ from .aut import (
     ZERO_VECTOR,
     Automorphism,
     InnerVector,
+    _affine_power,
+    _compose_power,
     act,
     compose,
     inner,
@@ -40,17 +43,32 @@ from .aut import (
     parse_automorphism,
     section,
 )
-from .aut import power as aut_power
 from .gl2 import GeneratorWord, Gl2Matrix, Letter, LetterPair
 from .zlattice import Vector, in_lattice, kernel_basis, lattices_equal
 
 
 class RelatorViolation(ValueError):
-    """A generator assignment breaks a defining relator of GL(2,Z)."""
+    """A generator assignment breaks a defining relator of GL(2,Z).
 
-    def __init__(self, relator: str, detail: str):
+    ``relator`` names the first relator violated and ``value`` is the
+    nonzero (p,q) that extending the assignment along it gives.  The
+    message spells a coordinate in decimal when the process's int-to-str
+    digit limit allows, and by its bit length otherwise.
+    """
+
+    def __init__(self, relator: str, value: InnerVector):
         self.relator = relator
-        super().__init__(f"relator '{relator}' violated: {detail}")
+        self.value = value
+        shown = ",".join(_decimal_or_bits(c) for c in (value.p, value.q))
+        super().__init__(
+            f"relator '{relator}' violated: extension gives ({shown}), not (0,0)")
+
+
+def _decimal_or_bits(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:  # over sys.get_int_max_str_digits()
+        return f"{'-' if n < 0 else ''}<{n.bit_length()}-bit int>"
 
 
 class InconsistencyError(ValueError):
@@ -65,20 +83,13 @@ def _phi_power(
 ) -> tuple[InnerVector, Gl2Matrix]:
     """(phi(l^exp), L^exp) given phi(l) = val, by the cocycle identity.
 
-    Square-and-multiply over the bits of |exp|: phi(l^j l^k) =
-    phi(l^j) + L^j.phi(l^k) both squares the base power and multiplies
-    it into the result, and phi(l^-k) = -L^-k.phi(l^k).  Exponents of
-    any size cost O(log |exp|) exact operations and no recursion.
+    phi(l^j l^k) = phi(l^j) + L^j.phi(l^k) is the recurrence of the
+    powers of the affine map x -> L x + val, so for k >= 0 the pair is
+    (S_k val, L^k) from aut._affine_power, in O(log k) exact steps; and
+    phi(l^-k) = -L^-k.phi(l^k).
     """
-    n = abs(exp)
-    v, p = ZERO_VECTOR, gl2.IDENTITY
-    base_v, base_p = val, mat
-    while n:
-        if n & 1:
-            v, p = v + act(p, base_v), p * base_p
-        n >>= 1
-        if n:
-            base_v, base_p = base_v + act(base_p, base_v), base_p * base_p
+    p_entries, (vp, vq) = _affine_power(mat.entries(), (val.p, val.q), abs(exp))
+    v, p = InnerVector(vp, vq), Gl2Matrix(*p_entries)
     if exp < 0:
         pinv = gl2.mat_inverse(p)
         return -act(pinv, v), pinv
@@ -149,7 +160,7 @@ class Cocycle:
     def __post_init__(self) -> None:
         bad = _violation(self.v_rho, self.v_tau, self.v_kappa)
         if bad is not None:
-            raise RelatorViolation(bad[0], f"extension gives {bad[1]}, not (0,0)")
+            raise RelatorViolation(*bad)
 
     def value(self, sym: Letter) -> InnerVector:
         if sym is Letter.RHO:
@@ -195,15 +206,27 @@ def validate_cocycle(
 
 
 def extend(phi: Cocycle, w: GeneratorWord) -> InnerVector:
-    """phi evaluated on eval_word(w) by folding the cocycle identity.
+    """phi evaluated on M = eval_word(w), in closed form: M.a - a with
+    a = solve_coboundary(phi).
 
-    Depends only on the matrix the word evaluates to, since phi is
-    relator-checked.
+    Proof.  phi passed the relator check at construction, so its
+    flattened values lie in the solution lattice of the relator system,
+    and cocycle_lattice() shows that lattice equals the coboundary
+    lattice (H^1 = 0).  So phi has the generator values of
+    coboundary(a) for the a that solve_coboundary reads off.  Evaluating
+    a cocycle on a word folds the cocycle identity
+    phi(g l^e) = phi(g) + g.phi(l^e) letter by letter (_extend_values),
+    and each step depends only on the generator values; g -> g.a - a
+    satisfies the identity, so the fold gives M.a - a.  In particular the
+    value depends only on the matrix, not on the word.
 
     >>> extend(ZERO_COCYCLE, gl2.parse_word("A B A")) == ZERO_VECTOR
     True
+    >>> extend(coboundary(InnerVector(1, 2)), gl2.parse_word("A^3"))
+    InnerVector(p=6, q=0)
     """
-    return _extend_values(phi.v_rho, phi.v_tau, phi.v_kappa, w.letters)
+    a = solve_coboundary(phi)
+    return act(gl2.eval_word(w), a) - a
 
 
 def coboundary(a: InnerVector) -> Cocycle:
@@ -334,10 +357,11 @@ class SectionOnGenerators:
     def eval_letters(self, pairs: Sequence[LetterPair]) -> Automorphism:
         """Product of the generator values' powers in order, over raw
         letters (no normalization, so kappa^2 stays a real check).  The
-        generic word route, kept as the oracle for at() and section()."""
+        generic word route, kept as the oracle for at() and section(); its
+        powers go through compose only, not through the closed forms."""
         result = IDENTITY_AUT
         for sym, exp in pairs:
-            result = compose(result, aut_power(self.value(sym), exp))
+            result = compose(result, _compose_power(self.value(sym), exp))
         return result
 
     def __str__(self) -> str:

@@ -167,21 +167,32 @@ class GeneratorWord:
 EMPTY_WORD = GeneratorWord()
 
 
-def _letter_power(sym: Letter, exp: int) -> Gl2Matrix:
-    # closed forms for generator powers; kappa has order 2
-    if sym is Letter.RHO:
-        return Gl2Matrix(1, exp, 0, 1)
-    if sym is Letter.TAU:
-        return Gl2Matrix(1, 0, -exp, 1)
-    return D if exp % 2 else IDENTITY
-
-
 def eval_letters(pairs: Sequence[LetterPair]) -> Gl2Matrix:
-    """Product of generator powers in order, without normalizing first."""
-    result = IDENTITY
+    """Product of generator powers in order, without normalizing first.
+
+    Each letter multiplies the running product on the right, which is a
+    column operation on plain ints: rho^e adds e times column 1 to
+    column 2, tau^e subtracts e times column 2 from column 1, and kappa^e
+    negates column 1 when e is odd.  One Gl2Matrix is built at the end.
+    A symbol that is not a Letter, or an exponent that is not an int,
+    raises TypeError.
+
+    >>> eval_letters(((Letter.RHO, 2), (Letter.TAU, 1))) == A ** 2 * B
+    True
+    """
+    m11, m12, m21, m22 = 1, 0, 0, 1
     for sym, exp in pairs:
-        result = result * _letter_power(sym, exp)
-    return result
+        _check_int(exp, "exponent")
+        if sym is Letter.RHO:
+            m12, m22 = m12 + exp * m11, m22 + exp * m21
+        elif sym is Letter.TAU:
+            m11, m21 = m11 - exp * m12, m21 - exp * m22
+        elif sym is Letter.KAPPA:
+            if exp % 2:
+                m11, m21 = -m11, -m21
+        else:
+            raise TypeError(f"word symbol must be a Letter, got {sym!r}")
+    return Gl2Matrix(m11, m12, m21, m22)
 
 
 def eval_word(w: GeneratorWord) -> Gl2Matrix:

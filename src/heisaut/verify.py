@@ -298,6 +298,13 @@ def _word_det(rng: random.Random) -> Outcome:
 @_sampled("word-normalize")
 def _word_normalize(rng: random.Random) -> Outcome:
     pairs = tuple(_rand_pairs(rng))
+    # the plain-int column fold of eval_letters against matrix products
+    product = gl2.IDENTITY
+    for sym, exp in pairs:
+        product = gl2.mat_multiply(product, cocycles._GEN_MATRIX[sym] ** exp)
+    if gl2.eval_letters(pairs) != product:
+        return _mismatch(f"generator powers raw={pairs}", product,
+                         gl2.eval_letters(pairs))
     w = gl2.GeneratorWord(pairs)
     if gl2.eval_word(w) != gl2.eval_letters(pairs):
         return _mismatch(
@@ -517,6 +524,11 @@ def _normal_form(rng: random.Random) -> Outcome:
     rebuilt = aut.compose(aut.inner(v2), aut.section(m2))
     if rebuilt != omega2:
         return _mismatch(f"rebuild omega={omega2}", omega2, rebuilt)
+    # power's closed form inner(S_n v) o section(M^n) against compose
+    n = rng.randint(-50, 50)
+    got, expected = aut.power(omega2, n), aut._compose_power(omega2, n)
+    if got != expected:
+        return _mismatch(f"power omega={omega2} n={n}", expected, got)
     return None
 
 
@@ -614,27 +626,33 @@ def _coboundary_roundtrip(rng: random.Random) -> Outcome:
     return None
 
 
+def _fold(phi: cocycles.Cocycle, w: gl2.GeneratorWord) -> aut.InnerVector:
+    # the cocycle identity folded over the word's letters
+    return cocycles._extend_values(phi.v_rho, phi.v_tau, phi.v_kappa, w.letters)
+
+
 @_sampled("cocycle-extend")
 def _cocycle_extend(rng: random.Random) -> Outcome:
+    # the closed form M.a - a against the relator fold
     a = _rand_vector(rng)
     phi = cocycles.coboundary(a)
     w1 = _rand_word(rng, max_len=10)
     w2 = _rand_word(rng, max_len=10)
     m1 = gl2.eval_word(w1)
-    expected = aut.act(m1, a) - a
+    expected = _fold(phi, w1)
     got = cocycles.extend(phi, w1)
     if got != expected:
-        return _mismatch(f"g.a - a for a={a} w={w1}", expected, got)
+        return _mismatch(f"fold over w for a={a} w={w1}", expected, got)
     # cocycle identity over concatenation
     lhs = cocycles.extend(phi, w1 * w2)
     rhs = cocycles.extend(phi, w1) + aut.act(m1, cocycles.extend(phi, w2))
     if lhs != rhs:
         return _mismatch(f"concatenation a={a} w1={w1} w2={w2}", rhs, lhs)
-    # word independence: a decomposition of the same matrix, different word
+    # word independence: the fold over another word for the same matrix
     alt = gl2.decompose(m1, "right")
-    got_alt = cocycles.extend(phi, alt)
-    if got_alt != expected:
-        return _mismatch(f"word independence a={a} M={m1}", expected, got_alt)
+    got_alt = _fold(phi, alt)
+    if got_alt != got:
+        return _mismatch(f"word independence a={a} M={m1} word={alt}", got, got_alt)
     return None
 
 

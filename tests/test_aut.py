@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from heisaut import gl2
 from heisaut.aut import (
     IDENTITY_AUT,
+    _compose_power,
     Automorphism,
     InnerVector,
     act,
@@ -328,3 +329,30 @@ class TestLargeSize:
         omega = compose(inner(self.V), section(self.BIG))
         assert normal_form(omega) == (self.V, self.BIG)
         assert normal_form(invert(omega))[1] == gl2.mat_inverse(self.BIG)
+
+
+class TestPowerAtLargeSize:
+    # 2001-bit exponents; the matrices have no eigenvalue off the unit
+    # circle (unipotent or of finite order), so M^n stays small enough
+    # to write down
+    N = (1 << 2000) + 3**1200
+    P = gl2.eval_word(gl2.parse_word("A^3 B^-2 D A B^5 A^-1 B"))
+    P_INV = gl2.mat_inverse(P)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_rd(self, sign):
+        n, d = sign * self.N, 3**2000 + 1
+        assert power(rd(d), n) == _compose_power(rd(d), n) == rd(d * n)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("core", [
+        gl2.A ** 5,                              # unipotent
+        gl2.mat_multiply(gl2.D, gl2.A ** -2),    # a reflection, det -1
+        gl2.eval_word(gl2.parse_word("A B")),    # order 6
+        gl2.IDENTITY,                            # inner automorphisms
+    ], ids=["unipotent", "reflection", "order-6", "identity"])
+    def test_offsets_match_compose(self, sign, core):
+        m = gl2.mat_multiply(gl2.mat_multiply(self.P, core), self.P_INV)
+        omega = Automorphism(m, 2**5000 + 1, -(3**3100))
+        n = sign * self.N
+        assert power(omega, n) == _compose_power(omega, n)

@@ -1,7 +1,9 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +57,43 @@ class TestElem:
         with pytest.raises(SystemExit) as info:
             cli.main(["elem", "mul", "(1,0,0)"])
         assert info.value.code == 1
+
+
+class TestErrors:
+    # no traceback leaves main(): every error is one line, or none when
+    # the reader has closed stdout
+
+    def test_unexpected_exception_is_one_line(self, capsys, monkeypatch):
+        def handler(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_elem_inv", handler)
+        assert run(capsys, "elem", "inv", "(0,0,0)") == \
+            (1, "", "heis-aut: error: RuntimeError: boom\n")
+
+    def test_broken_pipe_is_silent(self, capsys, monkeypatch):
+        def handler(args):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(cli, "_cmd_elem_inv", handler)
+        assert run(capsys, "elem", "inv", "(0,0,0)") == (1, "", "")
+
+    @pytest.mark.parametrize("argv", [
+        # over the 8 KiB stdout buffer: print() itself hits the closed pipe
+        ("elem", "pow", "(1,1,0)", "1" + "0" * 6000),
+        # buffered whole: the pipe error comes from the final flush
+        ("elem", "mul", "(1,0,0)", "(0,1,0)"),
+    ], ids=["large-output", "small-output"])
+    def test_closed_stdout(self, argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "heisaut.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""
 
 
 class TestDigitLimit:

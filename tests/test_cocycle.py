@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,6 +68,23 @@ class TestValidation:
             Cocycle(InnerVector(0, 1), InnerVector(0, 0), InnerVector(0, 0))
         assert info.value.relator == "rho tau rho = tau rho tau"
         assert "(1,1)" in str(info.value)
+
+    def test_huge_violation_keeps_relator_and_value(self):
+        # under the default int-to-str limit a 5001-digit value cannot be
+        # printed in decimal; the message gives its bit length instead
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        big = 10**5000
+        try:
+            with pytest.raises(RelatorViolation) as info:
+                Cocycle(InnerVector(0, big), InnerVector(0, 0), InnerVector(0, 0))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert info.value.relator == "rho tau rho = tau rho tau"
+        assert info.value.value == \
+            _extend_values(InnerVector(0, big), InnerVector(0, 0),
+                           InnerVector(0, 0), gl2.RELATORS[0][1])
+        assert f"<{info.value.value.p.bit_length()}-bit int>" in str(info.value)
 
     def test_kappa_conjugation_relator(self):
         # a bad kappa value passes both braid checks but trips the
@@ -159,6 +178,30 @@ class TestExtend:
             m = gl2.eval_letters(((sym, n),))
             assert extend(phi, gl2.GeneratorWord(((sym, n),))) == \
                 act(m, a) - a
+
+
+class TestExtendAtLargeSize:
+    # the closed form M.a - a against the relator fold it replaced
+    A_BIG = InnerVector(2**5000 - 3, -(3**3150))
+
+    def test_long_word(self):
+        syms = (Letter.RHO, Letter.TAU, Letter.KAPPA)
+        raw = tuple((syms[i % 3], (-1) ** (i // 3) * (i % 9 + 1))
+                    for i in range(3000))
+        phi = coboundary(self.A_BIG)
+        assert extend(phi, gl2.GeneratorWord(raw)) == \
+            _extend_values(phi.v_rho, phi.v_tau, phi.v_kappa, raw)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("sym", tuple(Letter), ids=lambda s: s.name)
+    def test_huge_letter_exponents(self, sym, sign):
+        phi = coboundary(self.A_BIG)
+        others = tuple(s for s in Letter if s is not sym)
+        for raw in (((sym, sign << 2000),),
+                    ((sym, sign << 2000), (others[0], 5),
+                     (sym, -sign * ((1 << 2000) + 1)), (others[1], 1))):
+            assert extend(phi, gl2.GeneratorWord(raw)) == \
+                _extend_values(phi.v_rho, phi.v_tau, phi.v_kappa, raw)
 
 
 class TestLattice:

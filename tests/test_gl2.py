@@ -34,6 +34,15 @@ raw_words = st.lists(letter_pairs, max_size=20)
 matrices = st.builds(lambda raw: eval_letters(raw), raw_words)
 
 
+def generator_product(raw) -> Gl2Matrix:
+    # oracle for eval_letters: Gl2Matrix powers through mat_multiply
+    generator = {Letter.RHO: A, Letter.TAU: B, Letter.KAPPA: D}
+    product = IDENTITY
+    for sym, exp in raw:
+        product = mat_multiply(product, generator[sym] ** exp)
+    return product
+
+
 class TestMatrix:
     def test_constants(self):
         assert A == Gl2Matrix(1, 1, 0, 1)
@@ -127,6 +136,29 @@ class TestEvalWord:
     def test_letter_powers_match_repeated_product(self, sym, exp):
         single = eval_letters(((sym, 1),))
         assert eval_letters(((sym, exp),)) == single ** exp
+
+    @given(raw_words)
+    def test_matches_product_of_generator_powers(self, raw):
+        assert eval_letters(raw) == generator_product(raw)
+
+    def test_long_word_with_huge_exponents(self):
+        syms = (Letter.RHO, Letter.TAU, Letter.KAPPA)
+        raw = [(syms[i % 3], (-1) ** i * ((1 << 2000) + i)) for i in range(30)]
+        raw += [(syms[i % 3], i % 7 - 3) for i in range(3000)]
+        assert eval_letters(raw) == generator_product(raw)
+
+    @pytest.mark.parametrize("raw", [
+        (("X", 1),),
+        (("A", 1),),  # the display character, not the Letter
+        ((Letter.RHO, 1), (None, 2)),
+        ((Letter.KAPPA, True),),
+        ((Letter.RHO, False),),
+        ((Letter.TAU, 1.0),),
+    ], ids=["unknown", "display-char", "none", "kappa-bool", "rho-bool",
+            "float"])
+    def test_rejects_non_letter_symbols_and_exponents(self, raw):
+        with pytest.raises(TypeError):
+            eval_letters(raw)
 
     @given(raw_words)
     def test_det_counts_kappa_letters(self, raw):
