@@ -18,8 +18,14 @@ a closed form in its entries, the unique homomorphism that sends the
 generators A, B, D to fixed generator images.  The kernel of the
 projection is the inner automorphisms, identified with Z + Z by
 inner(); every automorphism factors uniquely as inner(v) composed with
-section(M), which is what normal_form() computes, and power() works
-through that factorization instead of composing bit by bit.
+section(M), so Aut(G) is the semidirect product Z^2 x| GL(2,Z).
+
+normal_form() finds that factorization in closed form.  M is the
+projection; inner(v) o section(M) moves the two center offsets of
+section(M) by (p*m21 - q*m11, p*m22 - q*m12), a linear system in
+v = (p, q) with determinant det M = +-1, so v is one 2x2 unimodular
+solve (the proof is in normal_form's docstring).  power() works through
+that factorization instead of composing bit by bit.
 """
 
 from __future__ import annotations
@@ -44,8 +50,10 @@ class Automorphism:
     def __post_init__(self) -> None:
         if not isinstance(self.matrix, Gl2Matrix):
             raise TypeError("matrix must be a Gl2Matrix")
-        _check_int(self.r, "r")
-        _check_int(self.u, "u")
+        r, u = self.r, self.u
+        if not (type(r) is int and type(u) is int):
+            _check_int(r, "r")
+            _check_int(u, "u")
 
     def __call__(self, g: HeisElement) -> HeisElement:
         return apply(self, g)
@@ -68,8 +76,10 @@ class InnerVector:
     q: int
 
     def __post_init__(self) -> None:
-        _check_int(self.p, "p")
-        _check_int(self.q, "q")
+        p, q = self.p, self.q
+        if not (type(p) is int and type(q) is int):
+            _check_int(p, "p")
+            _check_int(q, "q")
 
     def __add__(self, other: "InnerVector") -> "InnerVector":
         return InnerVector(self.p + other.p, self.q + other.q)
@@ -280,18 +290,36 @@ def section(m: Gl2Matrix) -> Automorphism:
 
 
 def normal_form(omega: Automorphism) -> tuple[InnerVector, Gl2Matrix]:
-    """The unique (v, M) with omega = inner(v) composed with section(M).
+    """The unique (v, M) with omega = inner(v) composed with section(M),
+    in closed form: with s = section(M), x = r - s.r and y = u - s.u,
 
-    M is the projection; the residual delta = omega * section(M)^-1 has
-    identity matrix and offsets (c1, c2) = (delta.r, delta.u), giving
-    v = (c2, -c1).
+        v = det M * (m11*y - m12*x, m21*y - m22*x).
+
+    Proof.  M is the projection of omega.  inner(v) for v = (p, q) adds
+    p*b - a*q to the c-coordinate, so inner(v) o section(M) sends x and
+    y to (m11, m21, s.r + p*m21 - q*m11) and (m12, m22, s.u + p*m22 -
+    q*m12).  Matching omega's offsets is the linear system
+
+        m21*p - m11*q = x,    m22*p - m12*q = y
+
+    in (p, q), whose determinant is det M = +-1; its inverse is det M
+    times the adjugate, which gives the formula, and the solution is
+    unique and integral.
 
     >>> normal_form(Automorphism(gl2.IDENTITY, 3, -2))
     (InnerVector(p=-2, q=-3), Gl2Matrix(m11=1, m12=0, m21=0, m22=1))
+    >>> swap = Gl2Matrix(0, 1, 1, 0)   # det -1
+    >>> normal_form(Automorphism(swap, 5, 7))
+    (InnerVector(p=6, q=-8), Gl2Matrix(m11=0, m12=1, m21=1, m22=0))
+    >>> compose(inner(InnerVector(6, -8)), section(swap)) == Automorphism(swap, 5, 7)
+    True
     """
     m = omega.matrix
-    delta = compose(omega, invert(section(m)))
-    return InnerVector(delta.u, -delta.r), m
+    s = section(m)
+    m11, m12, m21, m22 = m.m11, m.m12, m.m21, m.m22
+    x, y = omega.r - s.r, omega.u - s.u
+    d = m11 * m22 - m12 * m21
+    return InnerVector(d * (m11 * y - m12 * x), d * (m21 * y - m22 * x)), m
 
 
 def center_image(omega: Automorphism) -> int:

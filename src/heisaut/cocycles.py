@@ -22,7 +22,7 @@ orbit under twisting by Z + Z.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from operator import mul
 from typing import Optional, Sequence
@@ -62,6 +62,10 @@ class RelatorViolation(ValueError):
         shown = ",".join(_decimal_or_bits(c) for c in (value.p, value.q))
         super().__init__(
             f"relator '{relator}' violated: extension gives ({shown}), not (0,0)")
+
+    def __reduce__(self):
+        # rebuild from both arguments; the default passes only the message
+        return type(self), (self.relator, self.value)
 
 
 def _decimal_or_bits(n: int) -> str:
@@ -321,11 +325,16 @@ class SectionOnGenerators:
     is a Cocycle.  That is exactly the five relators at the automorphism
     level: the product of inner(phi(l)) o section(L) over a relator word
     is inner of phi extended over the word, because section is a
-    homomorphism and section(M) o inner(v) = inner(M.v) o section(M)."""
+    homomorphism and section(M) o inner(v) = inner(M.v) o section(M).
+
+    The check derives the coboundary vector a of phi, and the section
+    keeps it for at().  It takes no part in ==, hash, repr or pickle:
+    unpickling rebuilds the section through the constructor."""
 
     alpha_rho: Automorphism
     alpha_tau: Automorphism
     alpha_kappa: Automorphism
+    _a: InnerVector = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for sym in _FLAT_ORDER:
@@ -335,7 +344,11 @@ class SectionOnGenerators:
                 raise ValueError(
                     f"value on {sym.name.lower()} must project to {want}, got {got}"
                 )
-        _canonical_difference(self)
+        object.__setattr__(
+            self, "_a", solve_coboundary(_canonical_difference(self)))
+
+    def __reduce__(self):
+        return type(self), (self.alpha_rho, self.alpha_tau, self.alpha_kappa)
 
     def value(self, sym: Letter) -> Automorphism:
         if sym is Letter.RHO:
@@ -349,9 +362,10 @@ class SectionOnGenerators:
 
         It is the canonical section twisted by the coboundary of the a
         that solve_coboundary finds for section_difference(self,
-        canonical_section()), i.e. inner(M.a - a) o section(M).
+        canonical_section()), i.e. inner(M.a - a) o section(M); a was
+        found once, at construction.
         """
-        a = solve_coboundary(_canonical_difference(self))
+        a = self._a
         return compose(inner(act(m, a) - a), section(m))
 
     def eval_letters(self, pairs: Sequence[LetterPair]) -> Automorphism:
@@ -370,12 +384,13 @@ class SectionOnGenerators:
 
 def canonical_section() -> SectionOnGenerators:
     """The section with the standard generator images: A and B act with
-    zero center offsets, D sends y to (0, 1, -1)."""
-    return SectionOnGenerators(
-        Automorphism(gl2.A, 0, 0),
-        Automorphism(gl2.B, 0, 0),
-        Automorphism(gl2.D, 0, -1),
-    )
+    zero center offsets, D sends y to (0, 1, -1).  One shared immutable
+    instance, built at import.
+
+    >>> canonical_section() is canonical_section()
+    True
+    """
+    return _CANONICAL_SECTION
 
 
 def _canonical_difference(alpha: SectionOnGenerators) -> Cocycle:
@@ -383,6 +398,13 @@ def _canonical_difference(alpha: SectionOnGenerators) -> Cocycle:
     # the canonical section: its values are section(A), section(B),
     # section(D), and normal_form divides exactly those out
     return Cocycle(*(normal_form(alpha.value(sym))[0] for sym in _FLAT_ORDER))
+
+
+_CANONICAL_SECTION = SectionOnGenerators(
+    Automorphism(gl2.A, 0, 0),
+    Automorphism(gl2.B, 0, 0),
+    Automorphism(gl2.D, 0, -1),
+)
 
 
 def section_difference(

@@ -42,11 +42,17 @@ class Gl2Matrix:
     m22: int
 
     def __post_init__(self) -> None:
-        for name in ("m11", "m12", "m21", "m22"):
-            _check_int(getattr(self, name), name)
-        if self.det not in (1, -1):
+        m11, m12, m21, m22 = self.m11, self.m12, self.m21, self.m22
+        if not (type(m11) is int and type(m12) is int
+                and type(m21) is int and type(m22) is int):
+            _check_int(m11, "m11")
+            _check_int(m12, "m12")
+            _check_int(m21, "m21")
+            _check_int(m22, "m22")
+        det = m11 * m22 - m12 * m21
+        if det != 1 and det != -1:
             raise ValueError(
-                f"matrix must have determinant +1 or -1, got {self.det}"
+                f"matrix must have determinant +1 or -1, got {det}"
             )
 
     @property
@@ -121,7 +127,8 @@ def _normalize(letters: Iterable[LetterPair]) -> tuple[LetterPair, ...]:
     for sym, exp in letters:
         if not isinstance(sym, Letter):
             raise TypeError(f"word symbol must be a Letter, got {sym!r}")
-        _check_int(exp, "exponent")
+        if type(exp) is not int:
+            _check_int(exp, "exponent")
         if sym is Letter.KAPPA:
             exp %= 2
         if exp == 0:
@@ -182,7 +189,8 @@ def eval_letters(pairs: Sequence[LetterPair]) -> Gl2Matrix:
     """
     m11, m12, m21, m22 = 1, 0, 0, 1
     for sym, exp in pairs:
-        _check_int(exp, "exponent")
+        if type(exp) is not int:
+            _check_int(exp, "exponent")
         if sym is Letter.RHO:
             m12, m22 = m12 + exp * m11, m22 + exp * m21
         elif sym is Letter.TAU:

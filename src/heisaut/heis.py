@@ -28,6 +28,8 @@ from ._backend import kernels
 
 def _check_int(value: object, name: str) -> None:
     # bool is an int subclass; reject it so True never sneaks in as 1.
+    # Value constructors call this only when some field fails the
+    # `type(x) is int` fast path, so plain ints are checked once.
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{name} must be an int, got {type(value).__name__}")
 
@@ -41,9 +43,11 @@ class HeisElement:
     c: int
 
     def __post_init__(self) -> None:
-        _check_int(self.a, "a")
-        _check_int(self.b, "b")
-        _check_int(self.c, "c")
+        a, b, c = self.a, self.b, self.c
+        if not (type(a) is int and type(b) is int and type(c) is int):
+            _check_int(a, "a")
+            _check_int(b, "b")
+            _check_int(c, "c")
 
     def __mul__(self, other: "HeisElement") -> "HeisElement":
         return multiply(self, other)
@@ -66,8 +70,10 @@ class AbPair:
     p: int
 
     def __post_init__(self) -> None:
-        _check_int(self.h, "h")
-        _check_int(self.p, "p")
+        h, p = self.h, self.p
+        if not (type(h) is int and type(p) is int):
+            _check_int(h, "h")
+            _check_int(p, "p")
 
     def __add__(self, other: "AbPair") -> "AbPair":
         return AbPair(self.h + other.h, self.p + other.p)

@@ -521,6 +521,12 @@ def _normal_form(rng: random.Random) -> Outcome:
         return _mismatch(f"v={v} M={m}", (v, m), (got_v, got_m))
     omega2 = _rand_aut(rng, max_len=8)
     v2, m2 = aut.normal_form(omega2)
+    # the closed-form solve against the compose route: the residual
+    # omega * section(M)^-1 is inner(v), with offsets (-q, p)
+    delta = aut.compose(omega2, aut.invert(aut.section(m2)))
+    via_compose = aut.InnerVector(delta.u, -delta.r)
+    if v2 != via_compose:
+        return _mismatch(f"compose route omega={omega2}", via_compose, v2)
     rebuilt = aut.compose(aut.inner(v2), aut.section(m2))
     if rebuilt != omega2:
         return _mismatch(f"rebuild omega={omega2}", omega2, rebuilt)

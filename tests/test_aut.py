@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -250,6 +252,25 @@ class TestExactness:
         assert (m == gl2.IDENTITY) == (omega == inner(v))
 
 
+def compose_route(omega: Automorphism):
+    # the residual omega o section(M)^-1 is inner(v), with offsets (-q, p)
+    m = omega.matrix
+    delta = compose(omega, invert(section(m)))
+    assert delta.matrix == gl2.IDENTITY
+    return InnerVector(delta.u, -delta.r), m
+
+
+def long_word(length: int, seed: int):
+    # neighbouring letters differ, so nothing cancels
+    rng = random.Random(seed)
+    pairs, prev = [], None
+    for _ in range(length):
+        sym = rng.choice([s for s in Letter if s is not prev])
+        pairs.append((sym, rng.choice((1, -1)) * rng.randint(1, 9)))
+        prev = sym
+    return pairs
+
+
 class TestNormalForm:
     def test_fixed_values(self):
         assert normal_form(SIGMA_D) == (InnerVector(0, 0), gl2.D)
@@ -265,6 +286,25 @@ class TestNormalForm:
     def test_roundtrip_from_automorphism(self, omega):
         v, m = normal_form(omega)
         assert compose(inner(v), section(m)) == omega
+
+    @given(automorphisms)
+    def test_closed_form_matches_compose_route(self, omega):
+        assert normal_form(omega) == compose_route(omega)
+
+    @pytest.mark.parametrize("det", [1, -1])
+    def test_closed_form_at_large_size(self, det):
+        # 3000-letter words and 5000-bit offsets, each determinant
+        word = long_word(3000, seed=det)
+        m = gl2.eval_letters(word)
+        if m.det != det:
+            m = gl2.mat_multiply(m, gl2.D)
+        assert m.det == det
+        assert max(abs(e) for e in m.entries()).bit_length() > 1000
+        for r, u in ((2**5000 + 1, -(3**3100)), (0, 7), (-(5**2200), 0)):
+            omega = Automorphism(m, r, u)
+            v, got_m = normal_form(omega)
+            assert (v, got_m) == compose_route(omega)
+            assert compose(inner(v), section(m)) == omega
 
     @given(matrices, vectors)
     @settings(max_examples=60)

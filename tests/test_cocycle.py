@@ -1,3 +1,4 @@
+import pickle
 import sys
 
 import pytest
@@ -85,6 +86,17 @@ class TestValidation:
             _extend_values(InnerVector(0, big), InnerVector(0, 0),
                            InnerVector(0, 0), gl2.RELATORS[0][1])
         assert f"<{info.value.value.p.bit_length()}-bit int>" in str(info.value)
+
+    def test_violation_survives_pickle(self):
+        with pytest.raises(RelatorViolation) as info:
+            Cocycle(InnerVector(0, 1), InnerVector(0, 0), InnerVector(0, 0))
+        exc = info.value
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is RelatorViolation
+        assert back.relator == exc.relator == "rho tau rho = tau rho tau"
+        assert back.value == exc.value == InnerVector(1, 1)
+        assert str(back) == str(exc)
+        assert back.args == exc.args
 
     def test_kappa_conjugation_relator(self):
         # a bad kappa value passes both braid checks but trips the
@@ -281,6 +293,31 @@ class TestSections:
             word = gl2.decompose(m, strategy)
             assert alpha.eval_letters(word.letters) == aut.section(m)
 
+    def test_canonical_is_one_instance(self):
+        assert canonical_section() is canonical_section()
+        fresh = SectionOnGenerators(
+            Automorphism(gl2.A, 0, 0),
+            Automorphism(gl2.B, 0, 0),
+            Automorphism(gl2.D, 0, -1),
+        )
+        assert canonical_section() == fresh
+        assert hash(canonical_section()) == hash(fresh)
+
+    def test_kept_vector_is_not_part_of_the_value(self):
+        # a section with a corrupted kept vector still compares, hashes
+        # and prints as before, and pickling rebuilds it from its values
+        alpha = twist(canonical_section(), coboundary(InnerVector(3, -4)))
+        corrupt = SectionOnGenerators(
+            alpha.alpha_rho, alpha.alpha_tau, alpha.alpha_kappa)
+        object.__setattr__(corrupt, "_a", InnerVector(5, 5))
+        assert corrupt == alpha and hash(corrupt) == hash(alpha)
+        assert repr(corrupt) == repr(alpha) and "_a" not in repr(alpha)
+        assert str(corrupt) == str(alpha)
+        back = pickle.loads(pickle.dumps(corrupt))
+        assert back == alpha
+        assert back.at(gl2.A) == alpha.at(gl2.A) != corrupt.at(gl2.A)
+        assert pickle.dumps(corrupt) == pickle.dumps(alpha)
+
     def test_rejects_wrong_projection(self):
         good = canonical_section()
         with pytest.raises(ValueError):
@@ -318,6 +355,14 @@ class TestTwist:
     def test_twisted_section_still_splits(self, phi, m):
         twisted = twist(canonical_section(), phi)
         assert project(twisted.at(m)) == m
+
+    @given(cocycles, matrices)
+    @settings(max_examples=60)
+    def test_twisted_at_matches_word_fold(self, phi, m):
+        twisted = twist(canonical_section(), phi)
+        for strategy in ("left", "right"):
+            word = gl2.decompose(m, strategy)
+            assert twisted.at(m) == twisted.eval_letters(word.letters)
 
     @given(cocycles, matrices)
     @settings(max_examples=40)
