@@ -14,9 +14,15 @@ The submodules are the API surface:
 
 All arithmetic is integer-exact pure Python; backend_name() always
 returns "pure" and is kept for the reports that record it.
+
+``verify`` is imported on first use (``heisaut.verify`` or ``from heisaut
+import verify``), so that a heis-aut command that runs no suite does not
+load it.
 """
 
-from . import aut, cocycles, gl2, heis, verify, zlattice
+import importlib
+
+from . import aut, cocycles, gl2, heis, zlattice
 from ._backend import backend_name
 from .aut import Automorphism, InnerVector
 from .cocycles import Cocycle, SectionOnGenerators
@@ -40,3 +46,11 @@ __all__ = [
     "verify",
     "zlattice",
 ]
+
+
+def __getattr__(name: str):
+    # PEP 562; import_module, not "from . import verify", which would
+    # call this hook again while resolving the name and never return
+    if name == "verify":
+        return importlib.import_module(".verify", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

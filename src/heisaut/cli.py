@@ -6,21 +6,33 @@ Exit codes: 0 on success, 1 on usage or parse errors, 2 when a checked
 property fails (a relator reported FAIL, an invalid cocycle, a verify
 suite with failures).  Any other error also exits 1 with a one-line
 message, and a reader that closes stdout early (``| head``) ends the
-output silently with exit 1; no traceback reaches the terminal.  Plain
-output uses the textual value syntaxes; --json emits the same fields as
-a JSON object.
+output silently with exit 1; no traceback reaches the terminal.
+
+One output rule covers every command that prints a single value: plain
+text is ``str(result)``, or ``true``/``false`` for a bool; --json prints
+``{key: str(result)}``, except that a bool or an int stays a JSON
+boolean or number.  The few commands with their own output or exit code
+(normal-form, relations, check, solve, lattice, decompose, twist,
+verify) print the same fields in both forms.
+
+The commands are described once, in the table of ``_commands()``;
+``build_parser()`` turns it into the argparse tree.  ``verify`` and
+``json`` are imported only by the commands and options that use them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import os
+import re
 import sys
 from typing import Optional, Sequence
 
-from . import aut, cocycles, gl2, heis, verify
+from . import aut, cocycles, gl2, heis
 from ._backend import backend_name
+
+_SUITES_HELP = "suite names, or 'all' (default: all); available: "
 
 
 class _Parser(argparse.ArgumentParser):
@@ -30,181 +42,79 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
+    def format_help(self) -> str:
+        # the suite list needs the verify module: read it only when the
+        # help is shown
+        for action in self._actions:
+            if action.dest == "suites":
+                from . import verify
+                action.help = _SUITES_HELP + ", ".join(verify.available_suites())
+        return super().format_help()
+
+
+_INTEGER = re.compile(r"-?[0-9]+")
+
 
 def integer(text: str) -> int:
-    # int() also reads non-ASCII decimal digits such as "\u0661"; the
-    # value syntaxes accept ASCII digits only
-    if not text.isascii():
+    # the -?[0-9]+ of the value syntaxes; int() alone would also read
+    # underscores, a plus sign, surrounding space and non-ASCII digits
+    if not _INTEGER.fullmatch(text):
         raise ValueError(text)
     return int(text)
 
 
 def _emit(args: argparse.Namespace, plain: str, data: dict) -> None:
     if args.json:
+        import json
         print(json.dumps(data, sort_keys=True))
     else:
         print(plain)
 
 
-# ---------------------------------------------------------------------------
-# elem
-
-def _cmd_elem_mul(args) -> int:
-    g = heis.multiply(heis.parse_element(args.g1), heis.parse_element(args.g2))
-    _emit(args, str(g), {"element": str(g)})
-    return 0
-
-
-def _cmd_elem_inv(args) -> int:
-    g = heis.inverse(heis.parse_element(args.g))
-    _emit(args, str(g), {"element": str(g)})
-    return 0
-
-
-def _cmd_elem_pow(args) -> int:
-    g = heis.power(heis.parse_element(args.g), args.n)
-    _emit(args, str(g), {"element": str(g)})
-    return 0
-
-
-def _cmd_elem_comm(args) -> int:
-    g = heis.commutator(heis.parse_element(args.g1), heis.parse_element(args.g2))
-    _emit(args, str(g), {"element": str(g)})
-    return 0
-
-
-def _cmd_elem_lambda(args) -> int:
-    pair = heis.lambda_project(heis.parse_element(args.g))
-    _emit(args, str(pair), {"pair": str(pair)})
-    return 0
-
-
-def _cmd_elem_central(args) -> int:
-    central = heis.is_central(heis.parse_element(args.g))
-    _emit(args, "true" if central else "false", {"central": central})
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# aut
-
-def _emit_aut(args, omega: aut.Automorphism) -> int:
-    # --apply turns "print the automorphism" into "apply it"
-    applied = getattr(args, "apply", None)
-    if applied is not None:
-        g = aut.apply(omega, heis.parse_element(applied))
-        _emit(args, str(g), {"element": str(g)})
+def _run(fn, key: str, positionals, args) -> int:
+    # parse each positional in order, call the library function, print
+    # the result; integers arrive parsed by argparse
+    result = fn(*(getattr(args, name) if parse is integer
+                  else parse(getattr(args, name))
+                  for name, parse in positionals))
+    if getattr(args, "apply", None) is not None:
+        result = aut.apply(result, heis.parse_element(args.apply))
+        key = "element"
+    if isinstance(result, bool):
+        plain = "true" if result else "false"
     else:
-        _emit(args, str(omega), {"automorphism": str(omega)})
+        plain = str(result)
+    _emit(args, plain, {key: result if isinstance(result, int) else plain})
     return 0
 
 
-def _cmd_aut_apply(args) -> int:
-    g = aut.apply(aut.parse_automorphism(args.omega), heis.parse_element(args.g))
-    _emit(args, str(g), {"element": str(g)})
-    return 0
+# ---------------------------------------------------------------------------
+# commands with their own output or exit code
 
-
-def _cmd_aut_compose(args) -> int:
-    omega = aut.compose(
-        aut.parse_automorphism(args.omega2), aut.parse_automorphism(args.omega1)
-    )
-    return _emit_aut(args, omega)
-
-
-def _cmd_aut_invert(args) -> int:
-    return _emit_aut(args, aut.invert(aut.parse_automorphism(args.omega)))
-
-
-def _cmd_aut_section(args) -> int:
-    return _emit_aut(args, aut.section(gl2.parse_matrix(args.matrix)))
-
-
-def _cmd_aut_project(args) -> int:
-    m = aut.project(aut.parse_automorphism(args.omega))
-    _emit(args, str(m), {"matrix": str(m)})
-    return 0
-
-
-def _cmd_aut_inner(args) -> int:
-    return _emit_aut(args, aut.inner(aut.parse_pair(args.v)))
-
-
-def _cmd_aut_rd(args) -> int:
-    return _emit_aut(args, aut.rd(args.d))
-
-
-def _cmd_aut_normal_form(args) -> int:
+def _cmd_normal_form(args) -> int:
     v, m = aut.normal_form(aut.parse_automorphism(args.omega))
     _emit(args, f"v={v}, M={m}", {"v": str(v), "matrix": str(m)})
     return 0
 
 
-def _cmd_aut_center_image(args) -> int:
-    value = aut.center_image(aut.parse_automorphism(args.omega))
-    _emit(args, str(value), {"center_image": value})
-    return 0
-
-
-def _cmd_aut_is_plus(args) -> int:
-    plus = aut.is_aut_plus(aut.parse_automorphism(args.omega))
-    _emit(args, "true" if plus else "false", {"is_aut_plus": plus})
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# gl2
-
-def _cmd_gl2_mul(args) -> int:
-    m = gl2.mat_multiply(gl2.parse_matrix(args.m1), gl2.parse_matrix(args.m2))
-    _emit(args, str(m), {"matrix": str(m)})
-    return 0
-
-
-def _cmd_gl2_inv(args) -> int:
-    m = gl2.mat_inverse(gl2.parse_matrix(args.m))
-    _emit(args, str(m), {"matrix": str(m)})
-    return 0
-
-
-def _cmd_gl2_eval_word(args) -> int:
-    m = gl2.eval_word(gl2.parse_word(args.word))
-    _emit(args, str(m), {"matrix": str(m)})
-    return 0
-
-
-def _cmd_gl2_decompose(args) -> int:
+def _cmd_decompose(args) -> int:
     w = gl2.decompose(gl2.parse_matrix(args.m), args.strategy)
     _emit(args, str(w), {"word": str(w)})
     return 0
 
 
-def _cmd_gl2_normalize(args) -> int:
-    w = gl2.parse_word(args.word)
-    _emit(args, str(w), {"word": str(w)})
-    return 0
-
-
-def _cmd_gl2_relations(args) -> int:
+def _cmd_relations(args) -> int:
     checks = gl2.check_presentation_relations()
-    if args.json:
-        print(json.dumps(
-            {"relations": [
-                {"relator": c.name, "ok": c.ok, "product": str(c.product)}
-                for c in checks
-            ]},
-            sort_keys=True,
-        ))
-    else:
-        for c in checks:
-            print(f"{'PASS' if c.ok else 'FAIL'} {c.name}")
+    _emit(args,
+          "\n".join(f"{'PASS' if c.ok else 'FAIL'} {c.name}" for c in checks),
+          {"relations": [
+              {"relator": c.name, "ok": c.ok, "product": str(c.product)}
+              for c in checks
+          ]})
     return 0 if all(c.ok for c in checks) else 2
 
 
-# ---------------------------------------------------------------------------
-# cocycle
-
-def _cmd_cocycle_check(args) -> int:
+def _cmd_check(args) -> int:
     try:
         phi = cocycles.parse_cocycle(args.phi)
     except cocycles.RelatorViolation as exc:
@@ -214,27 +124,13 @@ def _cmd_cocycle_check(args) -> int:
     return 0
 
 
-def _cmd_cocycle_solve(args) -> int:
+def _cmd_solve(args) -> int:
     a = cocycles.solve_coboundary(cocycles.parse_cocycle(args.phi))
     _emit(args, f"a={a}", {"a": str(a)})
     return 0
 
 
-def _cmd_cocycle_coboundary(args) -> int:
-    phi = cocycles.coboundary(aut.parse_pair(args.a))
-    _emit(args, str(phi), {"cocycle": str(phi)})
-    return 0
-
-
-def _cmd_cocycle_extend(args) -> int:
-    value = cocycles.extend(
-        cocycles.parse_cocycle(args.phi), gl2.parse_word(args.word)
-    )
-    _emit(args, str(value), {"value": str(value)})
-    return 0
-
-
-def _cmd_cocycle_lattice(args) -> int:
+def _cmd_lattice(args) -> int:
     report = cocycles.cocycle_lattice()
     relation = "equals" if report.equals_coboundary_lattice else "differs from"
     plain = f"rank={report.rank}, {relation} coboundary lattice"
@@ -247,7 +143,7 @@ def _cmd_cocycle_lattice(args) -> int:
     return 0 if report.rank == 2 and report.equals_coboundary_lattice else 2
 
 
-def _cmd_cocycle_twist(args) -> int:
+def _cmd_twist(args) -> int:
     sigma0 = (cocycles.parse_section(args.section) if args.section
               else cocycles.canonical_section())
     twisted = cocycles.twist(sigma0, cocycles.parse_cocycle(args.phi))
@@ -255,60 +151,145 @@ def _cmd_cocycle_twist(args) -> int:
     return 0
 
 
-def _cmd_cocycle_diff(args) -> int:
-    phi = cocycles.section_difference(
-        cocycles.parse_section(args.alpha2), cocycles.parse_section(args.alpha1)
-    )
-    _emit(args, str(phi), {"cocycle": str(phi)})
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# verify
-
 def _cmd_verify(args) -> int:
+    from . import verify
+
+    available = verify.available_suites()
     names = list(args.suites) + list(args.suite or [])
+    for name in names:  # every name, before 'all' can hide a typo
+        if name != "all" and name not in available:
+            raise ValueError(f"unknown suite {name!r}; available: "
+                             + ", ".join(available))
     if not names or "all" in names:
-        names = list(verify.available_suites())
+        names = list(available)
     report = verify.run(names, samples=args.samples, seed=args.seed)
-    if args.json:
-        print(json.dumps({
-            "seed": report.seed,
-            "ok": report.ok,
-            "backend": backend_name(),
-            "suites": [
-                {
-                    "suite": r.suite,
-                    "samples": r.samples,
-                    "ok": r.ok,
-                    "elapsed": round(r.elapsed, 6),
-                    "failures": [
-                        {
-                            "sample": f.sample,
-                            "inputs": f.inputs,
-                            "expected": f.expected,
-                            "actual": f.actual,
-                        }
-                        for f in r.failures
-                    ],
-                }
-                for r in report.results
-            ],
-        }, sort_keys=True))
-    else:
-        for r in report.results:
-            status = "PASS" if r.ok else "FAIL"
-            print(f"{status} {r.suite}: samples={r.samples} "
-                  f"seed={r.seed} elapsed={r.elapsed:.3f}s")
-            for f in r.failures:
-                print(f"  sample {f.sample}: {f.inputs}")
-                print(f"    expected: {f.expected}")
-                print(f"    actual:   {f.actual}")
+    lines = []
+    for r in report.results:
+        status = "PASS" if r.ok else "FAIL"
+        lines.append(f"{status} {r.suite}: samples={r.samples} "
+                     f"seed={r.seed} elapsed={r.elapsed:.3f}s")
+        for f in r.failures:
+            lines += [f"  sample {f.sample}: {f.inputs}",
+                      f"    expected: {f.expected}",
+                      f"    actual:   {f.actual}"]
+    _emit(args, "\n".join(lines), {
+        "seed": report.seed,
+        "ok": report.ok,
+        "backend": backend_name(),
+        "suites": [
+            {"suite": r.suite, "samples": r.samples, "ok": r.ok,
+             "elapsed": round(r.elapsed, 6),
+             "failures": [{"sample": f.sample, "inputs": f.inputs,
+                           "expected": f.expected, "actual": f.actual}
+                          for f in r.failures]}
+            for r in report.results
+        ],
+    })
     return 0 if report.ok else 2
 
 
 # ---------------------------------------------------------------------------
-# parser
+# the command table
+
+_FAMILIES = {
+    "elem": "Heisenberg group elements (a,b,c)",
+    "aut": "automorphisms {M=..., r=..., u=...}",
+    "gl2": "GL(2,Z) matrices and generator words",
+    "cocycle": "1-cocycles {rho=(p,q), tau=..., kappa=...}",
+}
+
+
+def _commands() -> list:
+    """Every command as (family, command, help, function, JSON key,
+    positionals, options).
+
+    A positional is (name, parser).  With a JSON key, the function is
+    the library call that ``_run`` makes on the parsed positionals;
+    without one, it is a ``_cmd_*`` handler that reads the raw ``args``.
+    An option is (flag, add_argument keywords).  ``verify`` is a family
+    without subcommands.
+
+    Built on each call, so that each entry is the function its module
+    holds when the command runs.
+    """
+    element, matrix, word = heis.parse_element, gl2.parse_matrix, gl2.parse_word
+    omega, pair = aut.parse_automorphism, aut.parse_pair
+    cocycle, section = cocycles.parse_cocycle, cocycles.parse_section
+    apply = ("--apply", {"metavar": "G", "help": "apply the result to an element"})
+    strategy = {"choices": ("left", "right"), "default": "left"}
+    return [
+        ("elem", "mul", "product g1*g2", heis.multiply, "element",
+         [("g1", element), ("g2", element)], []),
+        ("elem", "inv", "inverse", heis.inverse, "element", [("g", element)], []),
+        ("elem", "pow", "n-th power", heis.power, "element",
+         [("g", element), ("n", integer)], []),
+        ("elem", "comm", "commutator g1 g2 g1^-1 g2^-1", heis.commutator,
+         "element", [("g1", element), ("g2", element)], []),
+        ("elem", "lambda", "abelianization (a,b,c) -> (a,b)",
+         heis.lambda_project, "pair", [("g", element)], []),
+        ("elem", "central", "whether the element is central", heis.is_central,
+         "central", [("g", element)], []),
+        ("aut", "apply", "omega(g)", aut.apply, "element",
+         [("omega", omega), ("g", element)], []),
+        ("aut", "compose", "omega2 after omega1", aut.compose, "automorphism",
+         [("omega2", omega), ("omega1", omega)], [apply]),
+        ("aut", "invert", "omega^-1", aut.invert, "automorphism",
+         [("omega", omega)], [apply]),
+        ("aut", "section", "the section over a matrix", aut.section,
+         "automorphism", [("matrix", matrix)],
+         [("--strategy", {**strategy,
+                          "help": "ignored: the section is computed in closed "
+                                  "form; the flag is kept for compatibility"}),
+          apply]),
+        ("aut", "project", "induced matrix on the abelianization", aut.project,
+         "matrix", [("omega", omega)], []),
+        ("aut", "inner", "conjugation by (p,q,0)", aut.inner, "automorphism",
+         [("(p,q)", pair)], [apply]),
+        ("aut", "rd", "the shear automorphism R_d", aut.rd, "automorphism",
+         [("d", integer)], [apply]),
+        ("aut", "normal-form", "unique (v, M) with omega = inner(v) o section(M)",
+         _cmd_normal_form, None, [("omega", str)], []),
+        ("aut", "center-image", "c-coordinate of omega((0,0,1))",
+         aut.center_image, "center_image", [("omega", omega)], []),
+        ("aut", "is-plus", "whether omega projects into SL(2,Z)",
+         aut.is_aut_plus, "is_aut_plus", [("omega", omega)], []),
+        ("gl2", "mul", "matrix product", gl2.mat_multiply, "matrix",
+         [("m1", matrix), ("m2", matrix)], []),
+        ("gl2", "inv", "matrix inverse", gl2.mat_inverse, "matrix",
+         [("m", matrix)], []),
+        ("gl2", "eval-word", "evaluate a word like 'A B A D A^-3'",
+         gl2.eval_word, "matrix", [("word", word)], []),
+        ("gl2", "decompose", "a generator word for the matrix", _cmd_decompose,
+         None, [("m", str)], [("--strategy", strategy)]),
+        ("gl2", "normalize", "normalize a word", gl2.parse_word, "word",
+         [("word", str)], []),
+        ("gl2", "relations", "check the five defining relators", _cmd_relations,
+         None, [], []),
+        ("cocycle", "check", "validate generator values against the relators",
+         _cmd_check, None, [("phi", str)], []),
+        ("cocycle", "solve", "the unique a with g.a - a = phi(g)", _cmd_solve,
+         None, [("phi", str)], []),
+        ("cocycle", "coboundary", "the cocycle g -> g.a - a",
+         cocycles.coboundary, "cocycle", [("(p,q)", pair)], []),
+        ("cocycle", "extend", "evaluate a cocycle on a word", cocycles.extend,
+         "value", [("phi", cocycle), ("word", word)], []),
+        ("cocycle", "lattice", "solution lattice of the relator system",
+         _cmd_lattice, None, [], []),
+        ("cocycle", "twist", "twist a section by a cocycle", _cmd_twist, None,
+         [("phi", str)],
+         [("--section", {"metavar": "SECTION",
+                         "help": "base section (default: the canonical one)"})]),
+        ("cocycle", "diff", "cocycle difference alpha2 * alpha1^-1",
+         cocycles.section_difference, "cocycle",
+         [("alpha2", section), ("alpha1", section)], []),
+        ("verify", None, "run randomized invariant suites", _cmd_verify, None, [],
+         [("suites", {"nargs": "*", "metavar": "SUITE", "help": _SUITES_HELP}),
+          ("--suite", {"action": "append", "metavar": "NAME",
+                       "help": "additional suite to run (repeatable)"}),
+          ("--samples", {"type": integer, "default": 1000}),
+          ("--seed", {"type": integer, "default": 0})]),
+    ]
+
 
 def build_parser() -> _Parser:
     parser = _Parser(
@@ -316,160 +297,27 @@ def build_parser() -> _Parser:
         description="Exact arithmetic for the discrete Heisenberg group, "
                     "its automorphism group, and GL(2,Z) generator words.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true",
-                        help="emit a JSON object instead of plain text")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    elem = sub.add_parser("elem", help="Heisenberg group elements (a,b,c)")
-    elem_sub = elem.add_subparsers(dest="subcommand", required=True)
-    p = elem_sub.add_parser("mul", parents=[common], help="product g1*g2")
-    p.add_argument("g1")
-    p.add_argument("g2")
-    p.set_defaults(handler=_cmd_elem_mul)
-    p = elem_sub.add_parser("inv", parents=[common], help="inverse")
-    p.add_argument("g")
-    p.set_defaults(handler=_cmd_elem_inv)
-    p = elem_sub.add_parser("pow", parents=[common], help="n-th power")
-    p.add_argument("g")
-    p.add_argument("n", type=integer)
-    p.set_defaults(handler=_cmd_elem_pow)
-    p = elem_sub.add_parser("comm", parents=[common],
-                            help="commutator g1 g2 g1^-1 g2^-1")
-    p.add_argument("g1")
-    p.add_argument("g2")
-    p.set_defaults(handler=_cmd_elem_comm)
-    p = elem_sub.add_parser("lambda", parents=[common],
-                            help="abelianization (a,b,c) -> (a,b)")
-    p.add_argument("g")
-    p.set_defaults(handler=_cmd_elem_lambda)
-    p = elem_sub.add_parser("central", parents=[common],
-                            help="whether the element is central")
-    p.add_argument("g")
-    p.set_defaults(handler=_cmd_elem_central)
-
-    aut_p = sub.add_parser("aut", help="automorphisms {M=..., r=..., u=...}")
-    aut_sub = aut_p.add_subparsers(dest="subcommand", required=True)
-    p = aut_sub.add_parser("apply", parents=[common], help="omega(g)")
-    p.add_argument("omega")
-    p.add_argument("g")
-    p.set_defaults(handler=_cmd_aut_apply)
-    p = aut_sub.add_parser("compose", parents=[common],
-                           help="omega2 after omega1")
-    p.add_argument("omega2")
-    p.add_argument("omega1")
-    p.add_argument("--apply", metavar="G", help="apply the result to an element")
-    p.set_defaults(handler=_cmd_aut_compose)
-    p = aut_sub.add_parser("invert", parents=[common], help="omega^-1")
-    p.add_argument("omega")
-    p.add_argument("--apply", metavar="G")
-    p.set_defaults(handler=_cmd_aut_invert)
-    p = aut_sub.add_parser("section", parents=[common],
-                           help="the section over a matrix")
-    p.add_argument("matrix")
-    p.add_argument("--strategy", choices=("left", "right"), default="left",
-                   help="ignored: the section is computed in closed form; "
-                        "the flag is kept for compatibility")
-    p.add_argument("--apply", metavar="G")
-    p.set_defaults(handler=_cmd_aut_section)
-    p = aut_sub.add_parser("project", parents=[common],
-                           help="induced matrix on the abelianization")
-    p.add_argument("omega")
-    p.set_defaults(handler=_cmd_aut_project)
-    p = aut_sub.add_parser("inner", parents=[common],
-                           help="conjugation by (p,q,0)")
-    p.add_argument("v", metavar="(p,q)")
-    p.add_argument("--apply", metavar="G")
-    p.set_defaults(handler=_cmd_aut_inner)
-    p = aut_sub.add_parser("rd", parents=[common],
-                           help="the shear automorphism R_d")
-    p.add_argument("d", type=integer)
-    p.add_argument("--apply", metavar="G")
-    p.set_defaults(handler=_cmd_aut_rd)
-    p = aut_sub.add_parser("normal-form", parents=[common],
-                           help="unique (v, M) with omega = inner(v) o section(M)")
-    p.add_argument("omega")
-    p.set_defaults(handler=_cmd_aut_normal_form)
-    p = aut_sub.add_parser("center-image", parents=[common],
-                           help="c-coordinate of omega((0,0,1))")
-    p.add_argument("omega")
-    p.set_defaults(handler=_cmd_aut_center_image)
-    p = aut_sub.add_parser("is-plus", parents=[common],
-                           help="whether omega projects into SL(2,Z)")
-    p.add_argument("omega")
-    p.set_defaults(handler=_cmd_aut_is_plus)
-
-    gl2_p = sub.add_parser("gl2", help="GL(2,Z) matrices and generator words")
-    gl2_sub = gl2_p.add_subparsers(dest="subcommand", required=True)
-    p = gl2_sub.add_parser("mul", parents=[common], help="matrix product")
-    p.add_argument("m1")
-    p.add_argument("m2")
-    p.set_defaults(handler=_cmd_gl2_mul)
-    p = gl2_sub.add_parser("inv", parents=[common], help="matrix inverse")
-    p.add_argument("m")
-    p.set_defaults(handler=_cmd_gl2_inv)
-    p = gl2_sub.add_parser("eval-word", parents=[common],
-                           help="evaluate a word like 'A B A D A^-3'")
-    p.add_argument("word")
-    p.set_defaults(handler=_cmd_gl2_eval_word)
-    p = gl2_sub.add_parser("decompose", parents=[common],
-                           help="a generator word for the matrix")
-    p.add_argument("m")
-    p.add_argument("--strategy", choices=("left", "right"), default="left")
-    p.set_defaults(handler=_cmd_gl2_decompose)
-    p = gl2_sub.add_parser("normalize", parents=[common],
-                           help="normalize a word")
-    p.add_argument("word")
-    p.set_defaults(handler=_cmd_gl2_normalize)
-    p = gl2_sub.add_parser("relations", parents=[common],
-                           help="check the five defining relators")
-    p.set_defaults(handler=_cmd_gl2_relations)
-
-    co = sub.add_parser("cocycle", help="1-cocycles {rho=(p,q), tau=..., kappa=...}")
-    co_sub = co.add_subparsers(dest="subcommand", required=True)
-    p = co_sub.add_parser("check", parents=[common],
-                          help="validate generator values against the relators")
-    p.add_argument("phi")
-    p.set_defaults(handler=_cmd_cocycle_check)
-    p = co_sub.add_parser("solve", parents=[common],
-                          help="the unique a with g.a - a = phi(g)")
-    p.add_argument("phi")
-    p.set_defaults(handler=_cmd_cocycle_solve)
-    p = co_sub.add_parser("coboundary", parents=[common],
-                          help="the cocycle g -> g.a - a")
-    p.add_argument("a", metavar="(p,q)")
-    p.set_defaults(handler=_cmd_cocycle_coboundary)
-    p = co_sub.add_parser("extend", parents=[common],
-                          help="evaluate a cocycle on a word")
-    p.add_argument("phi")
-    p.add_argument("word")
-    p.set_defaults(handler=_cmd_cocycle_extend)
-    p = co_sub.add_parser("lattice", parents=[common],
-                          help="solution lattice of the relator system")
-    p.set_defaults(handler=_cmd_cocycle_lattice)
-    p = co_sub.add_parser("twist", parents=[common],
-                          help="twist a section by a cocycle")
-    p.add_argument("phi")
-    p.add_argument("--section", metavar="SECTION",
-                   help="base section (default: the canonical one)")
-    p.set_defaults(handler=_cmd_cocycle_twist)
-    p = co_sub.add_parser("diff", parents=[common],
-                          help="cocycle difference alpha2 * alpha1^-1")
-    p.add_argument("alpha2")
-    p.add_argument("alpha1")
-    p.set_defaults(handler=_cmd_cocycle_diff)
-
-    v = sub.add_parser("verify", parents=[common],
-                       help="run randomized invariant suites")
-    v.add_argument("suites", nargs="*", metavar="SUITE",
-                   help="suite names, or 'all' (default: all); available: "
-                        + ", ".join(verify.available_suites()))
-    v.add_argument("--suite", action="append", metavar="NAME",
-                   help="additional suite to run (repeatable)")
-    v.add_argument("--samples", type=integer, default=1000)
-    v.add_argument("--seed", type=integer, default=0)
-    v.set_defaults(handler=_cmd_verify)
-
+    families = {}
+    for family, command, summary, fn, key, positionals, options in _commands():
+        if command is None:
+            p = sub.add_parser(family, help=summary)
+        else:
+            if family not in families:
+                families[family] = sub.add_parser(
+                    family, help=_FAMILIES[family]
+                ).add_subparsers(dest="subcommand", required=True)
+            p = families[family].add_parser(command, help=summary)
+        p.add_argument("--json", action="store_true",
+                       help="emit a JSON object instead of plain text")
+        for name, parse in positionals:
+            # value parsers run in _run, where their ValueError keeps its
+            # message; argparse would replace it with "invalid ... value"
+            p.add_argument(name, type=integer if parse is integer else None)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(handler=fn if key is None
+                       else functools.partial(_run, fn, key, positionals))
     return parser
 
 

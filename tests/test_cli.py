@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -64,18 +66,18 @@ class TestErrors:
     # the reader has closed stdout
 
     def test_unexpected_exception_is_one_line(self, capsys, monkeypatch):
-        def handler(args):
+        def inverse(g):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(cli, "_cmd_elem_inv", handler)
+        monkeypatch.setattr(heis, "inverse", inverse)
         assert run(capsys, "elem", "inv", "(0,0,0)") == \
             (1, "", "heis-aut: error: RuntimeError: boom\n")
 
     def test_broken_pipe_is_silent(self, capsys, monkeypatch):
-        def handler(args):
+        def inverse(g):
             raise BrokenPipeError(32, "Broken pipe")
 
-        monkeypatch.setattr(cli, "_cmd_elem_inv", handler)
+        monkeypatch.setattr(heis, "inverse", inverse)
         assert run(capsys, "elem", "inv", "(0,0,0)") == (1, "", "")
 
     @pytest.mark.parametrize("argv", [
@@ -282,6 +284,16 @@ class TestVerify:
         assert code == 1
         assert "unknown suite" in err
 
+    @pytest.mark.parametrize("names", [("all", "no-such-suite"),
+                                       ("no-such-suite", "all"),
+                                       ("all", "--suite", "no-such-suite")])
+    def test_unknown_suite_next_to_all_exits_1(self, capsys, names):
+        code, out, err = run(capsys, "verify", *names, "--samples", "1")
+        assert (code, out) == (1, "")
+        assert err == ("heis-aut: error: unknown suite 'no-such-suite'; "
+                       "available: " + ", ".join(verify.available_suites())
+                       + "\n")
+
     def test_deterministic_given_seed(self, capsys):
         argv = ("verify", "all", "--samples", "2", "--seed", "1", "--json")
         first = scrub(json.loads(run(capsys, *argv)[1]))
@@ -346,6 +358,40 @@ def test_non_ascii_digits_rejected(capsys, zero, parse, text, argv):
     assert "error" in captured.err
 
 
+@pytest.mark.parametrize("text", ["1_0", "+3", " 3", "3 ", "0x3"])
+@pytest.mark.parametrize("argv", [("elem", "pow", "(1,0,0)", None),
+                                  ("aut", "rd", None)], ids=["pow", "rd"])
+def test_integer_argument_grammar(capsys, text, argv):
+    # integer arguments read the -?[0-9]+ of the value syntaxes, which
+    # int() widens with underscores, a plus sign and surrounding space
+    with pytest.raises(ValueError):
+        cli.integer(text)
+    with pytest.raises(SystemExit) as info:
+        cli.main([text if a is None else a for a in argv])
+    captured = capsys.readouterr()
+    assert info.value.code == 1
+    assert captured.out == ""
+    assert f"invalid integer value: '{text}'" in captured.err
+
+
+def test_integer_accepts_the_value_grammar():
+    assert [cli.integer(t) for t in ("0", "-0", "007", "-12")] == [0, 0, 7, -12]
+
+
+def test_verify_not_imported_by_cli():
+    # verify is the largest module; only the verify command loads it
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    probe = ("import sys, heisaut.cli; "
+             "print('heisaut.verify' in sys.modules, 'json' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "False False\n"
+    probe = "import heisaut; print(heisaut.verify.run.__module__)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "heisaut.verify\n"
+
+
 def test_console_script_installed():
     exe = shutil.which("heis-aut")
     if exe is None:
@@ -354,3 +400,206 @@ def test_console_script_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "(1,1,1)\n"
+
+
+# ---------------------------------------------------------------------------
+# the whole command surface on fixed inputs: exact plain stdout, exact
+# --json text, exit code, and the usage line of every --help
+
+O1 = "{M=[[0,1],[-1,1]], r=5, u=-3}"
+O2 = "{M=[[2,1],[1,1]], r=-1, u=4}"
+PHI = "{rho=(-2,0), tau=(0,-3), kappa=(-6,0)}"
+CANONICAL = ("{rho={M=[[1,1],[0,1]], r=0, u=0}, tau={M=[[1,0],[-1,1]], r=0, u=0}, "
+             "kappa={M=[[-1,0],[0,1]], r=0, u=-1}}")
+TWISTED = ("{rho={M=[[1,1],[0,1]], r=0, u=-2}, tau={M=[[1,0],[-1,1]], r=3, u=0}, "
+           "kappa={M=[[-1,0],[0,1]], r=0, u=-7}}")
+TWICE = ("{rho={M=[[1,1],[0,1]], r=0, u=-4}, tau={M=[[1,0],[-1,1]], r=6, u=0}, "
+         "kappa={M=[[-1,0],[0,1]], r=0, u=-13}}")
+RELATORS = ["rho tau rho = tau rho tau", "(rho tau rho)^4 = 1",
+            "kappa tau kappa^-1 = tau^-1", "kappa rho kappa^-1 = rho^-1",
+            "kappa^2 = 1"]
+INVALID = "{rho=(0,1), tau=(0,0), kappa=(0,0)}"
+REASON = ("relator 'rho tau rho = tau rho tau' violated: "
+          "extension gives (1,1), not (0,0)")
+
+SURFACE = [
+    # (argv, plain stdout without its newline, --json object, exit code)
+    (("elem", "mul", "(1,2,3)", "(4,-5,6)"), "(5,-3,4)", {"element": "(5,-3,4)"}, 0),
+    (("elem", "inv", "(1,2,3)"), "(-1,-2,-1)", {"element": "(-1,-2,-1)"}, 0),
+    (("elem", "pow", "(1,2,3)", "3"), "(3,6,15)", {"element": "(3,6,15)"}, 0),
+    (("elem", "comm", "(1,2,3)", "(4,-5,6)"), "(0,0,-13)",
+     {"element": "(0,0,-13)"}, 0),
+    (("elem", "lambda", "(1,2,3)"), "(1,2)", {"pair": "(1,2)"}, 0),
+    (("elem", "central", "(0,0,7)"), "true", {"central": True}, 0),
+    (("elem", "central", "(1,0,0)"), "false", {"central": False}, 0),
+    (("aut", "apply", O1, "(1,2,3)"), "(2,1,1)", {"element": "(2,1,1)"}, 0),
+    (("aut", "compose", O1, O2), "{M=[[1,1],[-1,0]], r=4, u=5}",
+     {"automorphism": "{M=[[1,1],[-1,0]], r=4, u=5}"}, 0),
+    (("aut", "compose", O1, O2, "--apply", "(1,2,3)"), "(3,-1,15)",
+     {"element": "(3,-1,15)"}, 0),
+    (("aut", "invert", O1), "{M=[[1,-1],[1,0]], r=-1, u=5}",
+     {"automorphism": "{M=[[1,-1],[1,0]], r=-1, u=5}"}, 0),
+    (("aut", "invert", O1, "--apply", "(1,2,3)"), "(-1,1,10)",
+     {"element": "(-1,1,10)"}, 0),
+    (("aut", "section", "[[2,7],[1,4]]", "--strategy", "right"),
+     "{M=[[2,7],[1,4]], r=0, u=9}",
+     {"automorphism": "{M=[[2,7],[1,4]], r=0, u=9}"}, 0),
+    (("aut", "section", "[[2,7],[1,4]]", "--apply", "(1,2,3)"), "(16,9,63)",
+     {"element": "(16,9,63)"}, 0),
+    (("aut", "project", O1), "[[0,1],[-1,1]]", {"matrix": "[[0,1],[-1,1]]"}, 0),
+    (("aut", "inner", "(1,-2)"), "{M=[[1,0],[0,1]], r=2, u=1}",
+     {"automorphism": "{M=[[1,0],[0,1]], r=2, u=1}"}, 0),
+    (("aut", "inner", "(1,-2)", "--apply", "(1,2,3)"), "(1,2,7)",
+     {"element": "(1,2,7)"}, 0),
+    (("aut", "rd", "3"), "{M=[[1,3],[0,1]], r=0, u=0}",
+     {"automorphism": "{M=[[1,3],[0,1]], r=0, u=0}"}, 0),
+    (("aut", "rd", "3", "--apply", "(1,2,3)"), "(7,2,6)",
+     {"element": "(7,2,6)"}, 0),
+    (("aut", "normal-form", O1), "v=(-4,-1), M=[[0,1],[-1,1]]",
+     {"v": "(-4,-1)", "matrix": "[[0,1],[-1,1]]"}, 0),
+    (("aut", "center-image", O1), "1", {"center_image": 1}, 0),
+    (("aut", "center-image", "{M=[[-1,0],[0,1]], r=0, u=-1}"), "-1",
+     {"center_image": -1}, 0),
+    (("aut", "is-plus", O1), "true", {"is_aut_plus": True}, 0),
+    (("aut", "is-plus", "{M=[[-1,0],[0,1]], r=0, u=-1}"), "false",
+     {"is_aut_plus": False}, 0),
+    (("gl2", "mul", "[[2,1],[1,1]]", "[[0,1],[-1,0]]"), "[[-1,2],[-1,1]]",
+     {"matrix": "[[-1,2],[-1,1]]"}, 0),
+    (("gl2", "inv", "[[2,7],[1,4]]"), "[[4,-7],[-1,2]]",
+     {"matrix": "[[4,-7],[-1,2]]"}, 0),
+    (("gl2", "eval-word", "A B^-2 D"), "[[-3,1],[-2,1]]",
+     {"matrix": "[[-3,1],[-2,1]]"}, 0),
+    (("gl2", "decompose", "[[2,7],[1,4]]", "--strategy", "right"),
+     "A B^-1 A^3", {"word": "A B^-1 A^3"}, 0),
+    (("gl2", "normalize", "A A^2 B B^-1 D^3"), "A^3 D", {"word": "A^3 D"}, 0),
+    (("gl2", "relations"), "\n".join(f"PASS {r}" for r in RELATORS),
+     {"relations": [{"ok": True, "product": "[[1,0],[0,1]]", "relator": r}
+                    for r in RELATORS]}, 0),
+    (("cocycle", "check", PHI), "valid", {"cocycle": PHI, "valid": True}, 0),
+    (("cocycle", "check", INVALID), f"invalid: {REASON}",
+     {"reason": REASON, "valid": False}, 2),
+    (("cocycle", "solve", PHI), "a=(3,-2)", {"a": "(3,-2)"}, 0),
+    (("cocycle", "coboundary", "(3,-2)"), PHI, {"cocycle": PHI}, 0),
+    (("cocycle", "extend", PHI, "A B^-2 D"), "(-14,-6)", {"value": "(-14,-6)"}, 0),
+    (("cocycle", "lattice"), "rank=2, equals coboundary lattice",
+     {"basis": [[1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 2, 0]],
+      "coboundary_basis": [[0, 0, 0, -1, -2, 0], [1, 0, 0, 0, 0, 0]],
+      "equals_coboundary_lattice": True, "rank": 2}, 0),
+    (("cocycle", "twist", PHI), TWISTED, {"section": TWISTED}, 0),
+    (("cocycle", "twist", PHI, "--section", TWISTED), TWICE,
+     {"section": TWICE}, 0),
+    (("cocycle", "diff", TWISTED, CANONICAL), PHI, {"cocycle": PHI}, 0),
+    (("verify", "relations", "--samples", "1"),
+     "PASS relations: samples=1 seed=0 elapsed=0.000s",
+     {"backend": "pure", "ok": True, "seed": 0,
+      "suites": [{"elapsed": 0.0, "failures": [], "ok": True, "samples": 1,
+                  "suite": "relations"}]}, 0),
+]
+
+
+def _surface_id(case):
+    argv = case[0]
+    return "-".join(argv[:2] + tuple(a.lstrip("-") for a in argv
+                                     if a.startswith("--")))
+
+
+@pytest.mark.parametrize("argv, plain, data, code", [
+    pytest.param(*case, id=f"{_surface_id(case)}-{i}")
+    for i, case in enumerate(SURFACE)
+])
+def test_command_surface(capsys, argv, plain, data, code):
+    got_code, out, err = run(capsys, *argv)
+    if argv[0] == "verify":
+        out = re.sub(r"elapsed=[0-9.]+s", "elapsed=0.000s", out)
+    assert (got_code, out, err) == (code, plain + "\n", "")
+    got_code, out, err = run(capsys, *argv, "--json")
+    assert (got_code, err) == (code, "")
+    if argv[0] == "verify":
+        assert scrub(json.loads(out)) == data
+    else:
+        assert out == json.dumps(data, sort_keys=True) + "\n"
+
+
+USAGE = {
+    (): "heis-aut [-h] {elem,aut,gl2,cocycle,verify} ...",
+    ("elem",): "heis-aut elem [-h] {mul,inv,pow,comm,lambda,central} ...",
+    ("aut",): "heis-aut aut [-h] {apply,compose,invert,section,project,inner,"
+              "rd,normal-form,center-image,is-plus} ...",
+    ("gl2",): "heis-aut gl2 [-h] {mul,inv,eval-word,decompose,normalize,"
+              "relations} ...",
+    ("cocycle",): "heis-aut cocycle [-h] {check,solve,coboundary,extend,"
+                  "lattice,twist,diff} ...",
+    ("elem", "mul"): "heis-aut elem mul [-h] [--json] g1 g2",
+    ("elem", "inv"): "heis-aut elem inv [-h] [--json] g",
+    ("elem", "pow"): "heis-aut elem pow [-h] [--json] g n",
+    ("elem", "comm"): "heis-aut elem comm [-h] [--json] g1 g2",
+    ("elem", "lambda"): "heis-aut elem lambda [-h] [--json] g",
+    ("elem", "central"): "heis-aut elem central [-h] [--json] g",
+    ("aut", "apply"): "heis-aut aut apply [-h] [--json] omega g",
+    ("aut", "compose"):
+        "heis-aut aut compose [-h] [--json] [--apply G] omega2 omega1",
+    ("aut", "invert"): "heis-aut aut invert [-h] [--json] [--apply G] omega",
+    ("aut", "section"): "heis-aut aut section [-h] [--json] "
+                        "[--strategy {left,right}] [--apply G] matrix",
+    ("aut", "project"): "heis-aut aut project [-h] [--json] omega",
+    ("aut", "inner"): "heis-aut aut inner [-h] [--json] [--apply G] (p,q)",
+    ("aut", "rd"): "heis-aut aut rd [-h] [--json] [--apply G] d",
+    ("aut", "normal-form"): "heis-aut aut normal-form [-h] [--json] omega",
+    ("aut", "center-image"): "heis-aut aut center-image [-h] [--json] omega",
+    ("aut", "is-plus"): "heis-aut aut is-plus [-h] [--json] omega",
+    ("gl2", "mul"): "heis-aut gl2 mul [-h] [--json] m1 m2",
+    ("gl2", "inv"): "heis-aut gl2 inv [-h] [--json] m",
+    ("gl2", "eval-word"): "heis-aut gl2 eval-word [-h] [--json] word",
+    ("gl2", "decompose"):
+        "heis-aut gl2 decompose [-h] [--json] [--strategy {left,right}] m",
+    ("gl2", "normalize"): "heis-aut gl2 normalize [-h] [--json] word",
+    ("gl2", "relations"): "heis-aut gl2 relations [-h] [--json]",
+    ("cocycle", "check"): "heis-aut cocycle check [-h] [--json] phi",
+    ("cocycle", "solve"): "heis-aut cocycle solve [-h] [--json] phi",
+    ("cocycle", "coboundary"): "heis-aut cocycle coboundary [-h] [--json] (p,q)",
+    ("cocycle", "extend"): "heis-aut cocycle extend [-h] [--json] phi word",
+    ("cocycle", "lattice"): "heis-aut cocycle lattice [-h] [--json]",
+    ("cocycle", "twist"):
+        "heis-aut cocycle twist [-h] [--json] [--section SECTION] phi",
+    ("cocycle", "diff"): "heis-aut cocycle diff [-h] [--json] alpha2 alpha1",
+    ("verify",): "heis-aut verify [-h] [--json] [--suite NAME] "
+                 "[--samples SAMPLES] [--seed SEED] [SUITE ...]",
+}
+
+
+def _help(capsys, *path):
+    with pytest.raises(SystemExit) as info:
+        cli.main([*path, "--help"])
+    assert info.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return captured.out
+
+
+@pytest.mark.parametrize("path, usage", list(USAGE.items()),
+                         ids=[" ".join(p) or "heis-aut" for p in USAGE])
+def test_help_usage(capsys, path, usage):
+    # the usage block, with argparse's line wrapping undone
+    block = _help(capsys, *path).split("\n\n")[0]
+    assert " ".join(block.split()) == "usage: " + usage
+
+
+def test_every_command_has_a_pinned_usage():
+    parser = cli.build_parser()
+
+    def commands(p):
+        return next((a.choices for a in p._actions
+                     if isinstance(a, argparse._SubParsersAction)), {})
+
+    paths = {(fam,) for fam in commands(parser)}
+    paths |= {(fam, cmd) for fam, p in commands(parser).items()
+              for cmd in commands(p)}
+    assert paths | {()} == set(USAGE)
+    assert len({p for p in paths if len(p) == 2} | {("verify",)}) == 30
+
+
+def test_verify_help_lists_every_suite(capsys):
+    # argparse may wrap the list at any space or hyphen
+    text = "".join(_help(capsys, "verify").split())
+    assert "available:" + ",".join(verify.available_suites()) in text
+    assert len(verify.available_suites()) == 29
