@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from . import gl2
 from ._backend import kernels
 from .gl2 import Gl2Matrix
-from .heis import HeisElement, _check_int
+from .heis import _INT, HeisElement, _check_int
 
 
 @dataclass(frozen=True, slots=True)
@@ -333,7 +333,9 @@ def is_aut_plus(omega: Automorphism) -> bool:
     return omega.matrix.det == 1
 
 
-_PAIR_RE = re.compile(r"\(\s*(-?[0-9]+)\s*,\s*(-?[0-9]+)\s*\)")
+# "(p,q)", shared with the cocycle syntax
+_PAIR = rf"\(\s*{_INT}\s*,\s*{_INT}\s*\)"
+_PAIR_RE = re.compile(_PAIR)
 
 
 def parse_pair(text: str) -> InnerVector:
@@ -349,7 +351,8 @@ def parse_pair(text: str) -> InnerVector:
 
 
 _AUT_RE = re.compile(
-    r"\{\s*M\s*=\s*(\[\[.*?\]\])\s*,\s*r\s*=\s*(-?[0-9]+)\s*,\s*u\s*=\s*(-?[0-9]+)\s*\}"
+    r"\{\s*M\s*=\s*(\[\[.*?\]\])\s*,\s*r\s*=\s*" + _INT
+    + r"\s*,\s*u\s*=\s*" + _INT + r"\s*\}"
 )
 
 

@@ -52,12 +52,11 @@ class _Parser(argparse.ArgumentParser):
         return super().format_help()
 
 
-_INTEGER = re.compile(r"-?[0-9]+")
+_INTEGER = re.compile(heis._INT)
 
 
 def integer(text: str) -> int:
-    # the -?[0-9]+ of the value syntaxes; int() alone would also read
-    # underscores, a plus sign, surrounding space and non-ASCII digits
+    # the integer grammar of the value syntaxes
     if not _INTEGER.fullmatch(text):
         raise ValueError(text)
     return int(text)
@@ -156,12 +155,10 @@ def _cmd_verify(args) -> int:
 
     available = verify.available_suites()
     names = list(args.suites) + list(args.suite or [])
-    for name in names:  # every name, before 'all' can hide a typo
-        if name != "all" and name not in available:
-            raise ValueError(f"unknown suite {name!r}; available: "
-                             + ", ".join(available))
     if not names or "all" in names:
-        names = list(available)
+        # unknown names stay for verify.run to reject, next to 'all' too
+        names = [*available, *(n for n in names
+                               if n != "all" and n not in available)]
     report = verify.run(names, samples=args.samples, seed=args.seed)
     lines = []
     for r in report.results:

@@ -11,7 +11,10 @@ cocycle is a coboundary, extend() is the coboundary closed form
 M.a - a, and the fold is the oracle it is checked against in verify.
 A section given on generators is validated the same way: its values
 differ from the canonical section's by inner automorphisms, and those
-differences must form a cocycle.
+differences must form a cocycle, the coboundary of a vector a that the
+section keeps.  The difference of two sections is then the coboundary
+of the difference of their vectors; the generator-wise compose route
+is its oracle in verify.
 
 The punchline this module makes computable: the cocycle lattice has
 rank 2 and every cocycle is a coboundary phi(g) = g.a - a, so the
@@ -33,12 +36,12 @@ from .aut import (
     ZERO_VECTOR,
     Automorphism,
     InnerVector,
+    _PAIR,
     _affine_power,
     _compose_power,
     act,
     compose,
     inner,
-    invert,
     normal_form,
     parse_automorphism,
     section,
@@ -79,9 +82,6 @@ class InconsistencyError(ValueError):
     """No group element solves the requested equations."""
 
 
-_GEN_MATRIX = {Letter.RHO: gl2.A, Letter.TAU: gl2.B, Letter.KAPPA: gl2.D}
-
-
 def _phi_power(
     mat: Gl2Matrix, val: InnerVector, exp: int
 ) -> tuple[InnerVector, Gl2Matrix]:
@@ -112,7 +112,7 @@ def _extend_values(
     total = ZERO_VECTOR
     prefix = gl2.IDENTITY
     for sym, exp in pairs:
-        contrib, mat_power = _phi_power(_GEN_MATRIX[sym], values[sym], exp)
+        contrib, mat_power = _phi_power(gl2.GENERATORS[sym], values[sym], exp)
         total = total + act(prefix, contrib)
         prefix = prefix * mat_power
     return total
@@ -162,7 +162,14 @@ class Cocycle:
     v_kappa: InnerVector
 
     def __post_init__(self) -> None:
-        bad = _violation(self.v_rho, self.v_tau, self.v_kappa)
+        v_rho, v_tau, v_kappa = self.v_rho, self.v_tau, self.v_kappa
+        if not (type(v_rho) is InnerVector and type(v_tau) is InnerVector
+                and type(v_kappa) is InnerVector):
+            for name, v in (("v_rho", v_rho), ("v_tau", v_tau),
+                            ("v_kappa", v_kappa)):
+                if not isinstance(v, InnerVector):
+                    raise TypeError(f"{name} must be an InnerVector")
+        bad = _violation(v_rho, v_tau, v_kappa)
         if bad is not None:
             raise RelatorViolation(*bad)
 
@@ -265,9 +272,6 @@ def solve_coboundary(phi: Cocycle) -> InnerVector:
     return a
 
 
-_FLAT_ORDER = (Letter.RHO, Letter.TAU, Letter.KAPPA)
-
-
 def _flatten(phi_values: tuple[InnerVector, InnerVector, InnerVector]) -> Vector:
     return tuple(c for v in phi_values for c in (v.p, v.q))
 
@@ -319,13 +323,14 @@ class SectionOnGenerators:
     """A homomorphic section of the projection Aut(G) -> GL(2,Z), given
     by its values on rho, tau, kappa.
 
-    Construction checks that each value projects onto the matching
-    generator matrix L, so it is inner(phi(l)) o section(L) for a vector
-    phi(l), and that phi = section_difference(self, canonical_section())
-    is a Cocycle.  That is exactly the five relators at the automorphism
-    level: the product of inner(phi(l)) o section(L) over a relator word
-    is inner of phi extended over the word, because section is a
-    homomorphism and section(M) o inner(v) = inner(M.v) o section(M).
+    Construction checks that each value is an Automorphism projecting
+    onto the matching generator matrix L, so it is inner(phi(l)) o
+    section(L) for a vector phi(l), and that these differences from
+    canonical_section() form a Cocycle phi.  That is exactly the five
+    relators at the automorphism level: the product of inner(phi(l)) o
+    section(L) over a relator word is inner of phi extended over the
+    word, because section is a homomorphism and section(M) o inner(v) =
+    inner(M.v) o section(M).
 
     The check derives the coboundary vector a of phi, and the section
     keeps it for at().  It takes no part in ==, hash, repr or pickle:
@@ -337,9 +342,11 @@ class SectionOnGenerators:
     _a: InnerVector = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for sym in _FLAT_ORDER:
-            got = self.value(sym).matrix
-            want = _GEN_MATRIX[sym]
+        for sym, want in gl2.GENERATORS.items():
+            value = self.value(sym)
+            if not isinstance(value, Automorphism):
+                raise TypeError(f"alpha_{sym.name.lower()} must be an Automorphism")
+            got = value.matrix
             if got != want:
                 raise ValueError(
                     f"value on {sym.name.lower()} must project to {want}, got {got}"
@@ -360,10 +367,8 @@ class SectionOnGenerators:
     def at(self, m: Gl2Matrix) -> Automorphism:
         """The section evaluated on an arbitrary matrix.
 
-        It is the canonical section twisted by the coboundary of the a
-        that solve_coboundary finds for section_difference(self,
-        canonical_section()), i.e. inner(M.a - a) o section(M); a was
-        found once, at construction.
+        It is the canonical section twisted by the coboundary of the
+        kept vector a, i.e. inner(M.a - a) o section(M).
         """
         a = self._a
         return compose(inner(act(m, a) - a), section(m))
@@ -394,10 +399,10 @@ def canonical_section() -> SectionOnGenerators:
 
 
 def _canonical_difference(alpha: SectionOnGenerators) -> Cocycle:
-    # section_difference(alpha, canonical_section()) without building
-    # the canonical section: its values are section(A), section(B),
-    # section(D), and normal_form divides exactly those out
-    return Cocycle(*(normal_form(alpha.value(sym))[0] for sym in _FLAT_ORDER))
+    # alpha's differences from the canonical section, without building
+    # it: its values are section(A), section(B), section(D), and
+    # normal_form divides exactly those out
+    return Cocycle(*(normal_form(alpha.value(sym))[0] for sym in gl2.GENERATORS))
 
 
 _CANONICAL_SECTION = SectionOnGenerators(
@@ -410,16 +415,24 @@ _CANONICAL_SECTION = SectionOnGenerators(
 def section_difference(
     alpha2: SectionOnGenerators, alpha1: SectionOnGenerators
 ) -> Cocycle:
-    """The cocycle g -> alpha2(g) * alpha1(g)^-1, read generator-wise.
+    """The cocycle g -> alpha2(g) * alpha1(g)^-1, in closed form: the
+    coboundary of the difference of the two sections' kept vectors.
 
     The difference lands in the kernel of the projection, i.e. in the
     inner automorphisms (I, r, u), identified with Z + Z as (u, -r).
+
+    Proof.  With phi_i = coboundary(a_i) for the vector a_i that
+    alpha_i keeps, each value is alpha_i(l) = inner(phi_i(l)) o
+    section(L), by construction.  So alpha2(l) o alpha1(l)^-1 =
+    inner(phi2(l)) o section(L) o section(L)^-1 o inner(-phi1(l)) =
+    inner(phi2(l) - phi1(l)), because inner is additive; and coboundary
+    is additive, so phi2 - phi1 = coboundary(a2 - a1).
+
+    >>> alpha = twist(canonical_section(), coboundary(InnerVector(3, -2)))
+    >>> section_difference(alpha, canonical_section()) == coboundary(InnerVector(3, -2))
+    True
     """
-    vals = []
-    for sym in _FLAT_ORDER:
-        delta = compose(alpha2.value(sym), invert(alpha1.value(sym)))
-        vals.append(InnerVector(delta.u, -delta.r))
-    return Cocycle(*vals)
+    return coboundary(alpha2._a - alpha1._a)
 
 
 def twist(sigma0: SectionOnGenerators, phi: Cocycle) -> SectionOnGenerators:
@@ -432,11 +445,10 @@ def twist(sigma0: SectionOnGenerators, phi: Cocycle) -> SectionOnGenerators:
     True
     """
     return SectionOnGenerators(
-        *(compose(inner(phi.value(sym)), sigma0.value(sym)) for sym in _FLAT_ORDER)
+        *(compose(inner(phi.value(sym)), sigma0.value(sym)) for sym in gl2.GENERATORS)
     )
 
 
-_PAIR = r"\(\s*(-?[0-9]+)\s*,\s*(-?[0-9]+)\s*\)"
 _COCYCLE_RE = re.compile(
     r"\{\s*rho\s*=\s*" + _PAIR + r"\s*,\s*tau\s*=\s*" + _PAIR
     + r"\s*,\s*kappa\s*=\s*" + _PAIR + r"\s*\}"

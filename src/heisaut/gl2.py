@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from ._backend import kernels
-from .heis import _check_int
+from .heis import _INT, _check_int
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,6 +118,10 @@ class Letter(enum.Enum):
     TAU = "B"
     KAPPA = "D"
 
+
+# Each letter's matrix, in the order rho, tau, kappa that value triples
+# and samplers follow.
+GENERATORS = {Letter.RHO: A, Letter.TAU: B, Letter.KAPPA: D}
 
 LetterPair = tuple[Letter, int]
 
@@ -214,21 +218,19 @@ def eval_word(w: GeneratorWord) -> Gl2Matrix:
     return eval_letters(w.letters)
 
 
+# rho tau rho = [[0,1],[-1,0]], of order 4
+_RHO_TAU_RHO: tuple[LetterPair, ...] = (
+    (Letter.RHO, 1), (Letter.TAU, 1), (Letter.RHO, 1))
+
 # Relator words of the presentation; each must evaluate to I.  Checks
 # evaluate the raw letter sequences so that normalization (which uses
 # kappa^2 = 1 itself) cannot make a check vacuous.
 RELATORS: tuple[tuple[str, tuple[LetterPair, ...]], ...] = (
     (
         "rho tau rho = tau rho tau",
-        (
-            (Letter.RHO, 1), (Letter.TAU, 1), (Letter.RHO, 1),
-            (Letter.TAU, -1), (Letter.RHO, -1), (Letter.TAU, -1),
-        ),
+        _RHO_TAU_RHO + ((Letter.TAU, -1), (Letter.RHO, -1), (Letter.TAU, -1)),
     ),
-    (
-        "(rho tau rho)^4 = 1",
-        ((Letter.RHO, 1), (Letter.TAU, 1), (Letter.RHO, 1)) * 4,
-    ),
+    ("(rho tau rho)^4 = 1", _RHO_TAU_RHO * 4),
     (
         "kappa tau kappa^-1 = tau^-1",
         ((Letter.KAPPA, 1), (Letter.TAU, 1), (Letter.KAPPA, -1), (Letter.TAU, 1)),
@@ -266,22 +268,14 @@ def _residual_upper(diag: int, off: int) -> list[LetterPair]:
     # [[1,m],[0,1]] = rho^m; [[-1,m],[0,-1]] = (rho tau rho)^2 rho^-m
     if diag == 1:
         return [(Letter.RHO, off)]
-    return [
-        (Letter.RHO, 1), (Letter.TAU, 1), (Letter.RHO, 1),
-        (Letter.RHO, 1), (Letter.TAU, 1), (Letter.RHO, 1),
-        (Letter.RHO, -off),
-    ]
+    return [*_RHO_TAU_RHO * 2, (Letter.RHO, -off)]
 
 
 def _residual_lower(diag: int, off: int) -> list[LetterPair]:
     # [[1,0],[m,1]] = tau^-m; [[-1,0],[m,-1]] = (rho tau rho)^2 tau^m
     if diag == 1:
         return [(Letter.TAU, -off)]
-    return [
-        (Letter.RHO, 1), (Letter.TAU, 1), (Letter.RHO, 1),
-        (Letter.RHO, 1), (Letter.TAU, 1), (Letter.RHO, 1),
-        (Letter.TAU, off),
-    ]
+    return [*_RHO_TAU_RHO * 2, (Letter.TAU, off)]
 
 
 def _decompose_left(m: Gl2Matrix) -> list[LetterPair]:
@@ -364,8 +358,8 @@ def decompose(m: Gl2Matrix, strategy: str = "left") -> GeneratorWord:
 
 
 _MATRIX_RE = re.compile(
-    r"\[\s*\[\s*(-?[0-9]+)\s*,\s*(-?[0-9]+)\s*\]\s*,"
-    r"\s*\[\s*(-?[0-9]+)\s*,\s*(-?[0-9]+)\s*\]\s*\]"
+    rf"\[\s*\[\s*{_INT}\s*,\s*{_INT}\s*\]\s*,"
+    rf"\s*\[\s*{_INT}\s*,\s*{_INT}\s*\]\s*\]"
 )
 
 
@@ -385,7 +379,7 @@ def format_matrix(m: Gl2Matrix) -> str:
     return f"[[{m.m11},{m.m12}],[{m.m21},{m.m22}]]"
 
 
-_TOKEN_RE = re.compile(r"([ABD])(?:\^(-?[0-9]+))?")
+_TOKEN_RE = re.compile(rf"([ABD])(?:\^{_INT})?")
 
 _CHAR_TO_LETTER = {letter.value: letter for letter in Letter}
 

@@ -155,7 +155,12 @@ def is_central(g: HeisElement) -> bool:
     return g.a == 0 and g.b == 0
 
 
-_ELEMENT_RE = re.compile(r"\(\s*(-?[0-9]+)\s*,\s*(-?[0-9]+)\s*,\s*(-?[0-9]+)\s*\)")
+# The integer grammar of every value syntax and of the CLI's integer
+# arguments, as one capturing group.  int() alone would also read
+# underscores, a plus sign, surrounding space and non-ASCII digits.
+_INT = r"(-?[0-9]+)"
+
+_ELEMENT_RE = re.compile(rf"\(\s*{_INT}\s*,\s*{_INT}\s*,\s*{_INT}\s*\)")
 
 
 def parse_element(text: str) -> HeisElement:

@@ -12,7 +12,12 @@ Sampling ranges: element coordinates and center offsets are uniform in
 at most 20 (guaranteeing determinant +-1); shear parameters d are
 uniform in [-10^6, 10^6].  Failures carry the sampled inputs plus the
 expected and actual values; at most three failures are recorded per
-suite before it stops early.
+suite before it stops early.  run() checks every suite name and the
+sample count before it runs any suite.
+
+Where the library uses a closed form, the suites check it against the
+generic route it replaced: word folds for section() and extend(), the
+compose route for normal_form(), power() and section_difference().
 """
 
 from __future__ import annotations
@@ -97,12 +102,18 @@ def available_suites() -> tuple[str, ...]:
     return tuple(_SUITES)
 
 
-def run_suite(name: str, samples: int, seed: int) -> SuiteResult:
-    if name not in _SUITES:
-        raise ValueError(f"unknown suite {name!r}; available: "
-                         + ", ".join(available_suites()))
+def _check_arguments(names: Iterable[str], samples: int) -> None:
+    for name in names:
+        if name not in _SUITES:
+            raise ValueError(f"unknown suite {name!r}; available: "
+                             + ", ".join(available_suites()))
+    heis._check_int(samples, "samples")
     if samples < 1:
         raise ValueError("samples must be at least 1")
+
+
+def run_suite(name: str, samples: int, seed: int) -> SuiteResult:
+    _check_arguments((name,), samples)
     suite = _SUITES[name]
     start = time.perf_counter()
     failures: list[Failure] = []
@@ -125,8 +136,10 @@ def run_suite(name: str, samples: int, seed: int) -> SuiteResult:
 def run(
     names: Optional[Iterable[str]] = None, samples: int = 1000, seed: int = 0
 ) -> VerifyReport:
-    """Run the named suites (all of them by default)."""
+    """Run the named suites (all of them by default).  Every name is
+    checked before any suite runs."""
     selected = list(names) if names is not None else list(_SUITES)
+    _check_arguments(selected, samples)
     return VerifyReport(seed, tuple(run_suite(n, samples, seed) for n in selected))
 
 
@@ -143,13 +156,16 @@ def _rand_element(rng: random.Random, bound: int = ELEMENT_BOUND) -> heis.HeisEl
     )
 
 
+_LETTERS = tuple(gl2.GENERATORS)
+
+
 def _rand_pairs(
     rng: random.Random, max_len: int = WORD_LENGTH, max_exp: int = WORD_EXPONENT
 ) -> list[gl2.LetterPair]:
     length = rng.randint(0, max_len)
     pairs = []
     for _ in range(length):
-        sym = rng.choice((gl2.Letter.RHO, gl2.Letter.TAU, gl2.Letter.KAPPA))
+        sym = rng.choice(_LETTERS)
         exp = rng.choice((1, -1)) * rng.randint(1, max_exp)
         pairs.append((sym, exp))
     return pairs
@@ -301,7 +317,7 @@ def _word_normalize(rng: random.Random) -> Outcome:
     # the plain-int column fold of eval_letters against matrix products
     product = gl2.IDENTITY
     for sym, exp in pairs:
-        product = gl2.mat_multiply(product, cocycles._GEN_MATRIX[sym] ** exp)
+        product = gl2.mat_multiply(product, gl2.GENERATORS[sym] ** exp)
     if gl2.eval_letters(pairs) != product:
         return _mismatch(f"generator powers raw={pairs}", product,
                          gl2.eval_letters(pairs))
@@ -424,11 +440,7 @@ def _inner_conjugation(rng: random.Random) -> Outcome:
 @_static("relations")
 def _relations() -> list[tuple[str, str, str]]:
     failures = []
-    sigma = {
-        gl2.Letter.RHO: aut.section(gl2.A),
-        gl2.Letter.TAU: aut.section(gl2.B),
-        gl2.Letter.KAPPA: aut.section(gl2.D),
-    }
+    sigma = {sym: aut.section(m) for sym, m in gl2.GENERATORS.items()}
     on_generators = cocycles.canonical_section()
     for sym, value in sigma.items():
         if on_generators.value(sym) != value:
@@ -662,6 +674,16 @@ def _cocycle_extend(rng: random.Random) -> Outcome:
     return None
 
 
+def _difference_by_compose(
+    alpha2: cocycles.SectionOnGenerators, alpha1: cocycles.SectionOnGenerators
+) -> cocycles.Cocycle:
+    # alpha2(l) o alpha1(l)^-1 per generator: an inner automorphism
+    # (I, r, u), i.e. the vector (u, -r)
+    deltas = (aut.compose(alpha2.value(sym), aut.invert(alpha1.value(sym)))
+              for sym in gl2.GENERATORS)
+    return cocycles.Cocycle(*(aut.InnerVector(d.u, -d.r) for d in deltas))
+
+
 @_sampled("section-twist")
 def _section_twist(rng: random.Random) -> Outcome:
     a = _rand_vector(rng)
@@ -671,6 +693,13 @@ def _section_twist(rng: random.Random) -> Outcome:
     diff = cocycles.section_difference(twisted, sigma0)
     if diff != phi:
         return _mismatch(f"twist/diff roundtrip a={a}", phi, diff)
+    # the closed form against the generator-wise compose route
+    for order, alpha2, alpha1 in (("twisted, sigma0", twisted, sigma0),
+                                  ("sigma0, twisted", sigma0, twisted)):
+        expected = _difference_by_compose(alpha2, alpha1)
+        got = cocycles.section_difference(alpha2, alpha1)
+        if got != expected:
+            return _mismatch(f"diff({order}) by compose a={a}", expected, got)
     if cocycles.section_difference(sigma0, sigma0) != cocycles.ZERO_COCYCLE:
         return _mismatch("diff(sigma, sigma)", cocycles.ZERO_COCYCLE,
                          cocycles.section_difference(sigma0, sigma0))

@@ -14,22 +14,35 @@ from typing import Sequence
 Vector = tuple[int, ...]
 
 
-def _combine_columns(cols: list[list[int]], row: int, active: list[int]) -> None:
-    # gcd-eliminate within the active columns until at most one has a
-    # nonzero entry at `row`; pivot-by-smallest-absolute-value
-    while True:
-        live = [j for j in active if cols[j][row] != 0]
-        if len(live) <= 1:
-            return
-        live.sort(key=lambda j: abs(cols[j][row]))
-        piv = live[0]
-        for j in live[1:]:
-            q = cols[j][row] // cols[piv][row]
-            if q:
-                for i in range(len(cols[j])):
-                    cols[j][i] -= q * cols[piv][i]
-        # exact multiples vanish in one pass; otherwise entries shrank,
-        # so the loop terminates by descent on min |entry|
+def _echelon(cols: list[list[int]], nrows: int) -> tuple[list[int], list[int]]:
+    """Column-reduce the first nrows entries of cols in place.
+
+    Returns (pivots, zero): the indices of the nonzero reduced columns,
+    whose leading indices strictly increase in that order, and of the
+    columns that became zero on those rows.
+    """
+    active = list(range(len(cols)))
+    pivots: list[int] = []
+    for row in range(nrows):
+        # gcd-eliminate within the active columns until at most one has
+        # a nonzero entry at `row`; pivot-by-smallest-absolute-value
+        while True:
+            live = [j for j in active if cols[j][row] != 0]
+            if len(live) <= 1:
+                break
+            live.sort(key=lambda j: abs(cols[j][row]))
+            piv = live[0]
+            for j in live[1:]:
+                q = cols[j][row] // cols[piv][row]
+                if q:
+                    for i in range(len(cols[j])):
+                        cols[j][i] -= q * cols[piv][i]
+            # exact multiples vanish in one pass; otherwise entries
+            # shrank, so the loop terminates by descent on min |entry|
+        if live:
+            active.remove(live[0])
+            pivots.append(live[0])
+    return pivots, active
 
 
 def kernel_basis(rows: Sequence[Sequence[int]]) -> list[Vector]:
@@ -50,15 +63,9 @@ def kernel_basis(rows: Sequence[Sequence[int]]) -> list[Vector]:
         [rows[i][j] for i in range(nrows)] + [int(i == j) for i in range(ncols)]
         for j in range(ncols)
     ]
-    active = list(range(ncols))
-    for row in range(nrows):
-        _combine_columns(cols, row, active)
-        for j in active:
-            if cols[j][row] != 0:
-                active.remove(j)
-                break
-    # active columns now have zero image; their U-parts are the kernel
-    return [tuple(cols[j][nrows:]) for j in active]
+    _, zero = _echelon(cols, nrows)
+    # the zero columns have zero image; their U-parts are the kernel
+    return [tuple(cols[j][nrows:]) for j in zero]
 
 
 def column_echelon(vectors: Sequence[Sequence[int]]) -> list[Vector]:
@@ -67,17 +74,8 @@ def column_echelon(vectors: Sequence[Sequence[int]]) -> list[Vector]:
     the lattice is unchanged."""
     if not vectors:
         return []
-    dim = len(vectors[0])
     cols = [list(v) for v in vectors]
-    active = list(range(len(cols)))
-    pivots: list[int] = []
-    for row in range(dim):
-        _combine_columns(cols, row, active)
-        for j in active:
-            if cols[j][row] != 0:
-                active.remove(j)
-                pivots.append(j)
-                break
+    pivots, _ = _echelon(cols, len(cols[0]))
     return [tuple(cols[j]) for j in pivots]
 
 

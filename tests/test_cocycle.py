@@ -350,6 +350,27 @@ class TestTwist:
         alpha0 = canonical_section()
         assert section_difference(alpha0, alpha0) == ZERO_COCYCLE
 
+    @staticmethod
+    def difference_by_compose(alpha2, alpha1):
+        # oracle: alpha2(l) o alpha1(l)^-1 per generator is the inner
+        # automorphism (I, r, u) of the vector (u, -r)
+        values = []
+        for sym in Letter:
+            delta = compose(alpha2.value(sym), aut.invert(alpha1.value(sym)))
+            assert delta.matrix == gl2.IDENTITY
+            values.append(InnerVector(delta.u, -delta.r))
+        return Cocycle(*values)
+
+    @given(huge_vectors, huge_vectors)
+    @settings(max_examples=40, deadline=None)
+    def test_difference_closed_form_matches_compose_route(self, a1, a2):
+        alpha1 = twist(canonical_section(), coboundary(a1))
+        alpha2 = twist(canonical_section(), coboundary(a2))
+        for left, right in ((alpha2, alpha1), (alpha1, alpha2)):
+            assert (section_difference(left, right)
+                    == self.difference_by_compose(left, right))
+        assert section_difference(alpha2, alpha1) == coboundary(a2 - a1)
+
     @given(cocycles, matrices)
     @settings(max_examples=60)
     def test_twisted_section_still_splits(self, phi, m):

@@ -7,8 +7,11 @@ both routes: the exception type, the field it names, and the messages.
 
 import pytest
 
+from collections import namedtuple
+
 from heisaut import gl2
-from heisaut.aut import Automorphism, InnerVector
+from heisaut.aut import ZERO_VECTOR, Automorphism, InnerVector
+from heisaut.cocycles import Cocycle, SectionOnGenerators, canonical_section
 from heisaut.gl2 import GeneratorWord, Gl2Matrix, Letter, eval_letters
 from heisaut.heis import AbPair, HeisElement
 
@@ -113,3 +116,43 @@ def test_word_exponent_int_subclass_accepted():
     raw = ((Letter.RHO, Big(2)), (Letter.KAPPA, Big(3)))
     assert GeneratorWord(raw) == GeneratorWord(((Letter.RHO, 2), (Letter.KAPPA, 1)))
     assert eval_letters(raw) == gl2.A ** 2 * gl2.D
+
+
+# (class, field names, a valid argument tuple, the field type's name)
+VALUE_FIELDS = [
+    (Cocycle, ("v_rho", "v_tau", "v_kappa"), (ZERO_VECTOR,) * 3, "InnerVector"),
+    (SectionOnGenerators, ("alpha_rho", "alpha_tau", "alpha_kappa"),
+     (canonical_section().alpha_rho, canonical_section().alpha_tau,
+      canonical_section().alpha_kappa), "Automorphism"),
+]
+
+# a namedtuple with fields p and q used to pass Cocycle's relator check
+P = namedtuple("P", "p q")
+
+
+def value_cases():
+    for cls, names, good, kind in VALUE_FIELDS:
+        for i, name in enumerate(names):
+            for bad in (P(0, 0), (0, 0), AbPair(0, 0), None, gl2.A):
+                yield pytest.param(cls, i, name, good, kind, bad,
+                                   id=f"{cls.__name__}.{name}-{bad!r}")
+
+
+@pytest.mark.parametrize("cls, index, name, good, kind, bad", value_cases())
+def test_value_field_type_rejected_by_name(cls, index, name, good, kind, bad):
+    args = list(good)
+    args[index] = bad
+    with pytest.raises(TypeError, match=rf"^{name} must be an {kind}$"):
+        cls(*args)
+
+
+def test_section_rejects_bare_matrices():
+    with pytest.raises(TypeError, match="^alpha_rho must be an Automorphism$"):
+        SectionOnGenerators(gl2.A, gl2.B, gl2.D)
+
+
+def test_value_field_subclass_accepted():
+    class V(InnerVector):
+        pass
+
+    assert Cocycle(V(0, 0), ZERO_VECTOR, ZERO_VECTOR).v_rho.q == 0
