@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from . import gl2
 from ._backend import kernels
-from .gl2 import Gl2Matrix
+from .gl2 import Gl2Matrix, _affine_power
 from .heis import _INT, HeisElement, _check_int
 
 
@@ -168,7 +168,7 @@ def power(omega: Automorphism, n: int) -> Automorphism:
                     = inner(v + M S_n v) o section(M^(n+1)),
 
     and v + M S_n v = S_(n+1) v.  (M^n, S_n v) is the n-th power of the
-    affine map x -> M x + v, computed by _affine_power on plain ints in
+    affine map x -> M x + v, computed by gl2._affine_power on plain ints in
     O(log n) steps; one compose assembles the result.
 
     >>> power(rd(3), 5) == rd(15)
@@ -182,30 +182,6 @@ def power(omega: Automorphism, n: int) -> Automorphism:
     v, m = normal_form(omega)
     mn, sv = _affine_power(m.entries(), (v.p, v.q), n)
     return compose(inner(InnerVector(*sv)), section(Gl2Matrix(*mn)))
-
-
-def _affine_power(
-    m: tuple[int, ...], v: tuple[int, int], n: int
-) -> tuple[tuple[int, ...], tuple[int, int]]:
-    """(M^n, S_n v) for n >= 0, S_n = I + M + ... + M^(n-1), on plain ints.
-
-    Square-and-multiply over the bits of n: the recurrence
-    (S_(j+k) v, M^(j+k)) = (S_j v + M^j S_k v, M^j M^k) both squares the
-    base power and multiplies it into the result.
-    """
-    p, s = (1, 0, 0, 1), (0, 0)
-    base_p, base_s = m, v
-    while n:
-        if n & 1:
-            s = (s[0] + p[0] * base_s[0] + p[1] * base_s[1],
-                 s[1] + p[2] * base_s[0] + p[3] * base_s[1])
-            p = kernels.mat_mul(*p, *base_p)
-        n >>= 1
-        if n:
-            base_s = (base_s[0] + base_p[0] * base_s[0] + base_p[1] * base_s[1],
-                      base_s[1] + base_p[2] * base_s[0] + base_p[3] * base_s[1])
-            base_p = kernels.mat_mul(*base_p, *base_p)
-    return p, s
 
 
 def _compose_power(omega: Automorphism, n: int) -> Automorphism:

@@ -5,10 +5,14 @@ with phi(gh) = phi(g) + g.phi(h).  Such a map is determined by its
 values on the generators rho, tau, kappa, and a value triple defines a
 cocycle exactly when extending it along each defining relator of
 GL(2,Z) gives (0,0).  That extension is linear in the six value
-coordinates, so Cocycle validates at construction with one cached
-10 x 6 integer matrix, derived once by the relator fold.  Because every
-cocycle is a coboundary, extend() is the coboundary closed form
-M.a - a, and the fold is the oracle it is checked against in verify.
+coordinates: a 10 x 6 integer system, derived once by the relator fold,
+whose kernel cocycle_lattice() computes and finds equal to the
+coboundary lattice.  So Cocycle validates at construction with four
+integer conditions that say the triple is a coboundary, and folds the
+relators only to name the one a bad triple breaks; the 10 x 6 system is
+left to cocycle_lattice() and to the oracle in verify.  Because every
+cocycle is a coboundary, solve_coboundary() reads its vector off and
+extend() is the closed form M.a - a, with the fold as its oracle.
 A section given on generators is validated the same way: its values
 differ from the canonical section's by inner automorphisms, and those
 differences must form a cocycle, the coboundary of a vector a that the
@@ -27,8 +31,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cache
-from operator import mul
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import gl2
 from .aut import (
@@ -37,7 +40,6 @@ from .aut import (
     Automorphism,
     InnerVector,
     _PAIR,
-    _affine_power,
     _compose_power,
     act,
     compose,
@@ -46,7 +48,7 @@ from .aut import (
     parse_automorphism,
     section,
 )
-from .gl2 import GeneratorWord, Gl2Matrix, Letter, LetterPair
+from .gl2 import GeneratorWord, Gl2Matrix, Letter, LetterPair, _affine_power
 from .zlattice import Vector, in_lattice, kernel_basis, lattices_equal
 
 
@@ -78,10 +80,6 @@ def _decimal_or_bits(n: int) -> str:
         return f"{'-' if n < 0 else ''}<{n.bit_length()}-bit int>"
 
 
-class InconsistencyError(ValueError):
-    """No group element solves the requested equations."""
-
-
 def _phi_power(
     mat: Gl2Matrix, val: InnerVector, exp: int
 ) -> tuple[InnerVector, Gl2Matrix]:
@@ -89,7 +87,7 @@ def _phi_power(
 
     phi(l^j l^k) = phi(l^j) + L^j.phi(l^k) is the recurrence of the
     powers of the affine map x -> L x + val, so for k >= 0 the pair is
-    (S_k val, L^k) from aut._affine_power, in O(log k) exact steps; and
+    (S_k val, L^k) from gl2._affine_power, in O(log k) exact steps; and
     phi(l^-k) = -L^-k.phi(l^k).
     """
     p_entries, (vp, vq) = _affine_power(mat.entries(), (val.p, val.q), abs(exp))
@@ -137,25 +135,50 @@ def _relator_rows() -> tuple[tuple[str, Vector, Vector], ...]:
     return tuple(rows)
 
 
-def _violation(
+def _first_violation(
     v_rho: InnerVector, v_tau: InnerVector, v_kappa: InnerVector
-) -> Optional[tuple[str, InnerVector]]:
-    # the first relator whose extension is not (0,0), with that extension;
-    # zero values pass every relator without the matrix, which keeps its
-    # build (about 3 ms) out of import, where ZERO_COCYCLE is made
-    x = (v_rho.p, v_rho.q, v_tau.p, v_tau.q, v_kappa.p, v_kappa.q)
-    if not any(x):
-        return None
-    for name, row_p, row_q in _relator_rows():
-        p, q = sum(map(mul, row_p, x)), sum(map(mul, row_q, x))
-        if p or q:
-            return name, InnerVector(p, q)
-    return None
+) -> tuple[str, InnerVector]:
+    # the first relator whose cocycle-identity fold is not (0,0), with
+    # that fold; Cocycle calls it only on a triple off the coboundary
+    # lattice, and such a triple breaks some relator (see Cocycle)
+    for name, pairs in gl2.RELATORS:
+        value = _extend_values(v_rho, v_tau, v_kappa, pairs)
+        if value != ZERO_VECTOR:
+            return name, value
+    raise AssertionError("a triple off the coboundary lattice broke no relator")
+
+
+def _by_letter(sym: Letter, on_rho, on_tau, on_kappa):
+    if sym is Letter.RHO:
+        return on_rho
+    if sym is Letter.TAU:
+        return on_tau
+    if sym is Letter.KAPPA:
+        return on_kappa
+    raise TypeError(f"word symbol must be a Letter, got {sym!r}")
 
 
 @dataclass(frozen=True, slots=True)
 class Cocycle:
-    """Generator values of a 1-cocycle; relator-checked at construction."""
+    """Generator values of a 1-cocycle; relator-checked at construction.
+
+    A value triple is accepted exactly when
+
+        v_rho.q == 0, v_tau.p == 0, v_kappa.q == 0, v_kappa.p == 2 v_tau.q,
+
+    and then it is coboundary(a) for a = (-v_tau.q, v_rho.p).
+
+    Proof.  coboundary(a) has the values (A - I)a = (a2, 0),
+    (B - I)a = (0, -a1) and (D - I)a = (-2 a1, 0).  So the four
+    conditions cut out exactly the coboundaries, and a triple that meets
+    them is coboundary(a) for the a read off above.  cocycle_lattice()
+    shows that the kernel of the relator system, i.e. the set of
+    triples that extend to (0,0) along every relator, is the coboundary
+    lattice (H^1 = 0).  So the four conditions hold if and only if
+    every relator holds.  Only a rejected triple is folded over the
+    relators, to name the first one it breaks and the nonzero value it
+    gives there.
+    """
 
     v_rho: InnerVector
     v_tau: InnerVector
@@ -169,16 +192,11 @@ class Cocycle:
                             ("v_kappa", v_kappa)):
                 if not isinstance(v, InnerVector):
                     raise TypeError(f"{name} must be an InnerVector")
-        bad = _violation(v_rho, v_tau, v_kappa)
-        if bad is not None:
-            raise RelatorViolation(*bad)
+        if v_rho.q or v_tau.p or v_kappa.q or v_kappa.p != 2 * v_tau.q:
+            raise RelatorViolation(*_first_violation(v_rho, v_tau, v_kappa))
 
     def value(self, sym: Letter) -> InnerVector:
-        if sym is Letter.RHO:
-            return self.v_rho
-        if sym is Letter.TAU:
-            return self.v_tau
-        return self.v_kappa
+        return _by_letter(sym, self.v_rho, self.v_tau, self.v_kappa)
 
     def __add__(self, other: "Cocycle") -> "Cocycle":
         return Cocycle(
@@ -220,16 +238,14 @@ def extend(phi: Cocycle, w: GeneratorWord) -> InnerVector:
     """phi evaluated on M = eval_word(w), in closed form: M.a - a with
     a = solve_coboundary(phi).
 
-    Proof.  phi passed the relator check at construction, so its
-    flattened values lie in the solution lattice of the relator system,
-    and cocycle_lattice() shows that lattice equals the coboundary
-    lattice (H^1 = 0).  So phi has the generator values of
-    coboundary(a) for the a that solve_coboundary reads off.  Evaluating
-    a cocycle on a word folds the cocycle identity
-    phi(g l^e) = phi(g) + g.phi(l^e) letter by letter (_extend_values),
-    and each step depends only on the generator values; g -> g.a - a
-    satisfies the identity, so the fold gives M.a - a.  In particular the
-    value depends only on the matrix, not on the word.
+    Proof.  phi passed the check at construction, so it has the
+    generator values of coboundary(a) for the a that solve_coboundary
+    reads off (see Cocycle).  Evaluating a cocycle on a word folds the
+    cocycle identity phi(g l^e) = phi(g) + g.phi(l^e) letter by letter
+    (_extend_values), and each step depends only on the generator
+    values; g -> g.a - a satisfies the identity, so the fold gives
+    M.a - a.  In particular the value depends only on the matrix, not on
+    the word.
 
     >>> extend(ZERO_COCYCLE, gl2.parse_word("A B A")) == ZERO_VECTOR
     True
@@ -259,17 +275,15 @@ def solve_coboundary(phi: Cocycle) -> InnerVector:
     """The unique a with coboundary(a) = phi.
 
     (A - I)a = (a2, 0) and (B - I)a = (0, -a1), so the rho and tau
-    values determine a = (-phi(tau)_2, phi(rho)_1); the remaining
-    constraints are consistency checks.  They never fail on validated
-    cocycles: that is the computable content of H^1 = 0 here.
+    values determine a = (-phi(tau)_2, phi(rho)_1).  That a exists for
+    every Cocycle, because construction accepts exactly the
+    coboundaries (see Cocycle): this is the computable content of
+    H^1 = 0 here.
 
     >>> solve_coboundary(coboundary(InnerVector(3, -2)))
     InnerVector(p=3, q=-2)
     """
-    a = InnerVector(-phi.v_tau.q, phi.v_rho.p)
-    if coboundary(a) != phi:
-        raise InconsistencyError(f"no a in Z+Z has g.a - a matching {phi}")
-    return a
+    return InnerVector(-phi.v_tau.q, phi.v_rho.p)
 
 
 def _flatten(phi_values: tuple[InnerVector, InnerVector, InnerVector]) -> Vector:
@@ -292,8 +306,9 @@ def cocycle_lattice() -> LatticeReport:
     coboundary lattice.
 
     Each relator extension is linear in the six unknown coordinates, so
-    the five relators give a 10 x 6 integer system (the one Cocycle
-    validates with) whose kernel is the cocycle lattice.
+    the five relators give a 10 x 6 integer system whose kernel is the
+    cocycle lattice.  Its equality with the coboundary lattice is what
+    lets Cocycle validate by four closed-form conditions.
 
     >>> report = cocycle_lattice()
     >>> report.rank, report.equals_coboundary_lattice
@@ -358,11 +373,7 @@ class SectionOnGenerators:
         return type(self), (self.alpha_rho, self.alpha_tau, self.alpha_kappa)
 
     def value(self, sym: Letter) -> Automorphism:
-        if sym is Letter.RHO:
-            return self.alpha_rho
-        if sym is Letter.TAU:
-            return self.alpha_tau
-        return self.alpha_kappa
+        return _by_letter(sym, self.alpha_rho, self.alpha_tau, self.alpha_kappa)
 
     def at(self, m: Gl2Matrix) -> Automorphism:
         """The section evaluated on an arbitrary matrix.

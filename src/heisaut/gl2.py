@@ -64,15 +64,8 @@ class Gl2Matrix:
 
     def __pow__(self, n: int) -> "Gl2Matrix":
         _check_int(n, "n")
-        if n < 0:
-            return mat_inverse(self) ** (-n)
-        result, base = IDENTITY, self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        m = self if n >= 0 else mat_inverse(self)
+        return Gl2Matrix(*_affine_power(m.entries(), (0, 0), abs(n))[0])
 
     def inverse(self) -> "Gl2Matrix":
         return mat_inverse(self)
@@ -109,6 +102,30 @@ def mat_inverse(m: Gl2Matrix) -> Gl2Matrix:
     """
     d = m.det
     return Gl2Matrix(d * m.m22, -d * m.m12, -d * m.m21, d * m.m11)
+
+
+def _affine_power(
+    m: tuple[int, ...], v: tuple[int, int], n: int
+) -> tuple[tuple[int, ...], tuple[int, int]]:
+    """(M^n, S_n v) for n >= 0, S_n = I + M + ... + M^(n-1), on plain ints.
+
+    Square-and-multiply over the bits of n: the recurrence
+    (S_(j+k) v, M^(j+k)) = (S_j v + M^j S_k v, M^j M^k) both squares the
+    base power and multiplies it into the result.
+    """
+    p, s = (1, 0, 0, 1), (0, 0)
+    base_p, base_s = m, v
+    while n:
+        if n & 1:
+            s = (s[0] + p[0] * base_s[0] + p[1] * base_s[1],
+                 s[1] + p[2] * base_s[0] + p[3] * base_s[1])
+            p = kernels.mat_mul(*p, *base_p)
+        n >>= 1
+        if n:
+            base_s = (base_s[0] + base_p[0] * base_s[0] + base_p[1] * base_s[1],
+                      base_s[1] + base_p[2] * base_s[0] + base_p[3] * base_s[1])
+            base_p = kernels.mat_mul(*base_p, *base_p)
+    return p, s
 
 
 class Letter(enum.Enum):

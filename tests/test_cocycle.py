@@ -1,4 +1,5 @@
 import pickle
+import re
 import sys
 
 import pytest
@@ -10,6 +11,7 @@ from heisaut.aut import Automorphism, InnerVector, act, compose, inner, project
 from heisaut.cocycles import (
     ZERO_COCYCLE,
     _extend_values,
+    _relator_rows,
     Cocycle,
     RelatorViolation,
     SectionOnGenerators,
@@ -121,6 +123,17 @@ class TestValidation:
         assert phi.value(Letter.RHO) == phi.v_rho
         assert phi.value(Letter.TAU) == phi.v_tau
         assert phi.value(Letter.KAPPA) == phi.v_kappa
+
+    @pytest.mark.parametrize("sym", ["A", "D", None, 0, gl2.D],
+                             ids=["char-A", "char-D", "none", "int", "matrix"])
+    def test_value_rejects_non_letters(self, sym):
+        # a non-Letter symbol used to fall through to the kappa value
+        message = f"^word symbol must be a Letter, got {re.escape(repr(sym))}$"
+        for holder in (ZERO_COCYCLE, canonical_section()):
+            with pytest.raises(TypeError, match=message):
+                holder.value(sym)
+        with pytest.raises(TypeError, match=message):
+            canonical_section().eval_letters(((Letter.RHO, 1), (sym, 1)))
 
 
 class TestCoboundary:
@@ -249,7 +262,47 @@ huge = st.integers(min_value=-2**5000, max_value=2**5000)
 huge_vectors = st.builds(InnerVector, huge, huge)
 
 
+def linear_violation(coords):
+    # oracle: the first relator whose pair of rows in the relator system
+    # gives a nonzero (row_p . x, row_q . x)
+    for name, row_p, row_q in _relator_rows():
+        p = sum(r * x for r, x in zip(row_p, coords))
+        q = sum(r * x for r, x in zip(row_q, coords))
+        if p or q:
+            return name, InnerVector(p, q)
+    return None
+
+
+# one coordinate: zero, small, or up to 2^5000 in size
+mixed = st.one_of(st.just(0), st.integers(min_value=-9, max_value=9), huge)
+
+
 class TestLinearCheckAtLargeSize:
+    # arbitrary triples; "lattice" forces the draw onto the coboundary
+    # lattice (a1 = -tau.q, a2 = rho.p), "nudged" then shifts one slot by 1
+    @given(st.lists(mixed, min_size=6, max_size=6),
+           st.sampled_from(("free", "lattice", "nudged")),
+           st.integers(min_value=0, max_value=5), st.sampled_from((1, -1)))
+    @settings(max_examples=150)
+    def test_accepts_exactly_the_lattice(self, coords, kind, slot, delta):
+        if kind != "free":
+            coords[1] = coords[2] = coords[5] = 0
+            coords[4] = 2 * coords[3]
+            if kind == "nudged":
+                coords[slot] += delta
+        triple = tuple(InnerVector(coords[2 * i], coords[2 * i + 1])
+                       for i in range(3))
+        member = in_lattice(tuple(coords), cocycle_lattice().basis)
+        expected = linear_violation(coords)
+        try:
+            phi = Cocycle(*triple)
+        except RelatorViolation as exc:
+            assert not member
+            assert (exc.relator, exc.value) == expected
+        else:
+            assert member and expected is None
+            assert coboundary(solve_coboundary(phi)) == phi
+
     @given(huge_vectors)
     @settings(max_examples=40)
     def test_accepts_coboundaries(self, a):

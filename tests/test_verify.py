@@ -51,3 +51,15 @@ def test_samples_must_be_positive(counted, samples):
     with pytest.raises(ValueError, match="^samples must be at least 1$"):
         verify.run(["group-axioms", "relations"], samples=samples)
     assert counted == []
+
+
+@pytest.mark.parametrize("seed", [True, "1", 1.0, None], ids=repr)
+def test_seed_must_be_an_int(counted, seed):
+    # "1" used to replay seed 1's samples under another name, and True
+    # or 1.0 keyed streams of their own
+    name = type(seed).__name__
+    with pytest.raises(TypeError, match=f"^seed must be an int, got {name}$"):
+        verify.run(["group-axioms"], samples=2, seed=seed)
+    with pytest.raises(TypeError, match=f"^seed must be an int, got {name}$"):
+        verify.run_suite("group-axioms", 2, seed)
+    assert counted == []
