@@ -31,21 +31,24 @@ that factorization instead of composing bit by bit.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from . import gl2
 from ._backend import kernels
 from .gl2 import Gl2Matrix, _affine_power
-from .heis import _INT, HeisElement, _check_int
+from .heis import _INT, HeisElement, _check_int, _Value
 
 
-@dataclass(frozen=True, slots=True)
-class Automorphism:
+class Automorphism(_Value):
     """Automorphism data (M, r, u); see the module docstring."""
 
-    matrix: Gl2Matrix
-    r: int
-    u: int
+    __match_args__ = ("matrix", "r", "u")
+    __slots__ = __match_args__
+
+    def __init__(self, matrix: Gl2Matrix, r: int, u: int) -> None:
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "u", u)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not isinstance(self.matrix, Gl2Matrix):
@@ -59,6 +62,8 @@ class Automorphism:
         return apply(self, g)
 
     def __mul__(self, other: "Automorphism") -> "Automorphism":
+        if not isinstance(other, Automorphism):
+            return NotImplemented
         return compose(self, other)
 
     def __pow__(self, n: int) -> "Automorphism":
@@ -68,12 +73,16 @@ class Automorphism:
         return format_automorphism(self)
 
 
-@dataclass(frozen=True, slots=True)
-class InnerVector:
+class InnerVector(_Value):
     """The class of (p, q, 0) in G modulo its center, i.e. a pair in Z + Z."""
 
-    p: int
-    q: int
+    __match_args__ = ("p", "q")
+    __slots__ = __match_args__
+
+    def __init__(self, p: int, q: int) -> None:
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         p, q = self.p, self.q
@@ -82,9 +91,13 @@ class InnerVector:
             _check_int(q, "q")
 
     def __add__(self, other: "InnerVector") -> "InnerVector":
+        if not isinstance(other, InnerVector):
+            return NotImplemented
         return InnerVector(self.p + other.p, self.q + other.q)
 
     def __sub__(self, other: "InnerVector") -> "InnerVector":
+        if not isinstance(other, InnerVector):
+            return NotImplemented
         return InnerVector(self.p - other.p, self.q - other.q)
 
     def __neg__(self) -> "InnerVector":

@@ -16,8 +16,12 @@ boolean or number.  The few commands with their own output or exit code
 verify) print the same fields in both forms.
 
 The commands are described once, in the table of ``_commands()``;
-``build_parser()`` turns it into the argparse tree.  ``verify`` and
-``json`` are imported only by the commands and options that use them.
+``build_parser()`` turns it into the argparse tree.  ``main`` asks it
+for the branch of the one command its first two words name, and for the
+whole tree when they name none (no command, ``--help``, a family's own
+help, an unknown name, or an option before the command); the output is
+the same either way.  ``verify`` and ``json`` are imported only by the
+commands and options that use them.
 """
 
 from __future__ import annotations
@@ -288,15 +292,29 @@ def _commands() -> list:
     ]
 
 
-def build_parser() -> _Parser:
+def build_parser(words: Sequence[str] = ()) -> _Parser:
+    """The argparse tree of ``_commands()``.
+
+    Given the first words of a command line, only the rows of the command
+    they name are built, if they name one: its family, and its command
+    where the family has commands.  The top-level usage still lists every
+    family, as an unrecognized argument prints it.
+    """
+    table = _commands()
+    first, second = (*words, None, None)[:2]
+    rows = [row for row in table
+            if row[0] == first and row[1] in (None, second)] or table
     parser = _Parser(
         prog="heis-aut",
         description="Exact arithmetic for the discrete Heisenberg group, "
                     "its automorphism group, and GL(2,Z) generator words.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if rows is table
+        else "{" + ",".join(dict.fromkeys(row[0] for row in table)) + "}")
     families = {}
-    for family, command, summary, fn, key, positionals, options in _commands():
+    for family, command, summary, fn, key, positionals, options in rows:
         if command is None:
             p = sub.add_parser(family, help=summary)
         else:
@@ -326,7 +344,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = build_parser(argv[:2]).parse_args(argv)
         code = args.handler(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit
         return code

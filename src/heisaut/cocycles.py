@@ -29,7 +29,6 @@ orbit under twisting by Z + Z.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cache
 from typing import Sequence
 
@@ -49,6 +48,7 @@ from .aut import (
     section,
 )
 from .gl2 import GeneratorWord, Gl2Matrix, Letter, LetterPair, _affine_power
+from .heis import _Value
 from .zlattice import Vector, in_lattice, kernel_basis, lattices_equal
 
 
@@ -158,8 +158,7 @@ def _by_letter(sym: Letter, on_rho, on_tau, on_kappa):
     raise TypeError(f"word symbol must be a Letter, got {sym!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class Cocycle:
+class Cocycle(_Value):
     """Generator values of a 1-cocycle; relator-checked at construction.
 
     A value triple is accepted exactly when
@@ -180,9 +179,15 @@ class Cocycle:
     gives there.
     """
 
-    v_rho: InnerVector
-    v_tau: InnerVector
-    v_kappa: InnerVector
+    __match_args__ = ("v_rho", "v_tau", "v_kappa")
+    __slots__ = __match_args__
+
+    def __init__(self, v_rho: InnerVector, v_tau: InnerVector,
+                 v_kappa: InnerVector) -> None:
+        object.__setattr__(self, "v_rho", v_rho)
+        object.__setattr__(self, "v_tau", v_tau)
+        object.__setattr__(self, "v_kappa", v_kappa)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         v_rho, v_tau, v_kappa = self.v_rho, self.v_tau, self.v_kappa
@@ -199,6 +204,8 @@ class Cocycle:
         return _by_letter(sym, self.v_rho, self.v_tau, self.v_kappa)
 
     def __add__(self, other: "Cocycle") -> "Cocycle":
+        if not isinstance(other, Cocycle):
+            return NotImplemented
         return Cocycle(
             self.v_rho + other.v_rho,
             self.v_tau + other.v_tau,
@@ -209,6 +216,8 @@ class Cocycle:
         return Cocycle(-self.v_rho, -self.v_tau, -self.v_kappa)
 
     def __sub__(self, other: "Cocycle") -> "Cocycle":
+        if not isinstance(other, Cocycle):
+            return NotImplemented
         return self + (-other)
 
     def __str__(self) -> str:
@@ -290,15 +299,22 @@ def _flatten(phi_values: tuple[InnerVector, InnerVector, InnerVector]) -> Vector
     return tuple(c for v in phi_values for c in (v.p, v.q))
 
 
-@dataclass(frozen=True, slots=True)
-class LatticeReport:
+class LatticeReport(_Value):
     """Solution lattice of the relator system on generator value triples,
     flattened as (rho.p, rho.q, tau.p, tau.q, kappa.p, kappa.q)."""
 
-    rank: int
-    basis: tuple[Vector, ...]
-    coboundary_basis: tuple[Vector, ...]
-    equals_coboundary_lattice: bool
+    __match_args__ = ("rank", "basis", "coboundary_basis",
+                      "equals_coboundary_lattice")
+    __slots__ = __match_args__
+
+    def __init__(self, rank: int, basis: tuple[Vector, ...],
+                 coboundary_basis: tuple[Vector, ...],
+                 equals_coboundary_lattice: bool) -> None:
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "coboundary_basis", coboundary_basis)
+        object.__setattr__(self, "equals_coboundary_lattice",
+                           equals_coboundary_lattice)
 
 
 def cocycle_lattice() -> LatticeReport:
@@ -333,8 +349,7 @@ def in_cocycle_lattice(phi: Cocycle, report: LatticeReport) -> bool:
     return in_lattice(_flatten((phi.v_rho, phi.v_tau, phi.v_kappa)), report.basis)
 
 
-@dataclass(frozen=True, slots=True)
-class SectionOnGenerators:
+class SectionOnGenerators(_Value):
     """A homomorphic section of the projection Aut(G) -> GL(2,Z), given
     by its values on rho, tau, kappa.
 
@@ -351,10 +366,15 @@ class SectionOnGenerators:
     keeps it for at().  It takes no part in ==, hash, repr or pickle:
     unpickling rebuilds the section through the constructor."""
 
-    alpha_rho: Automorphism
-    alpha_tau: Automorphism
-    alpha_kappa: Automorphism
-    _a: InnerVector = field(init=False, repr=False, compare=False)
+    __match_args__ = ("alpha_rho", "alpha_tau", "alpha_kappa")
+    __slots__ = (*__match_args__, "_a")
+
+    def __init__(self, alpha_rho: Automorphism, alpha_tau: Automorphism,
+                 alpha_kappa: Automorphism) -> None:
+        object.__setattr__(self, "alpha_rho", alpha_rho)
+        object.__setattr__(self, "alpha_tau", alpha_tau)
+        object.__setattr__(self, "alpha_kappa", alpha_kappa)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         for sym, want in gl2.GENERATORS.items():
@@ -368,9 +388,6 @@ class SectionOnGenerators:
                 )
         object.__setattr__(
             self, "_a", solve_coboundary(_canonical_difference(self)))
-
-    def __reduce__(self):
-        return type(self), (self.alpha_rho, self.alpha_tau, self.alpha_kappa)
 
     def value(self, sym: Letter) -> Automorphism:
         return _by_letter(sym, self.alpha_rho, self.alpha_tau, self.alpha_kappa)

@@ -25,21 +25,24 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from ._backend import kernels
-from .heis import _INT, _check_int
+from .heis import _INT, _check_int, _Value
 
 
-@dataclass(frozen=True, slots=True)
-class Gl2Matrix:
+class Gl2Matrix(_Value):
     """An integer 2x2 matrix with determinant +1 or -1."""
 
-    m11: int
-    m12: int
-    m21: int
-    m22: int
+    __match_args__ = ("m11", "m12", "m21", "m22")
+    __slots__ = __match_args__
+
+    def __init__(self, m11: int, m12: int, m21: int, m22: int) -> None:
+        object.__setattr__(self, "m11", m11)
+        object.__setattr__(self, "m12", m12)
+        object.__setattr__(self, "m21", m21)
+        object.__setattr__(self, "m22", m22)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         m11, m12, m21, m22 = self.m11, self.m12, self.m21, self.m22
@@ -60,6 +63,8 @@ class Gl2Matrix:
         return self.m11 * self.m22 - self.m12 * self.m21
 
     def __mul__(self, other: "Gl2Matrix") -> "Gl2Matrix":
+        if not isinstance(other, Gl2Matrix):
+            return NotImplemented
         return mat_multiply(self, other)
 
     def __pow__(self, n: int) -> "Gl2Matrix":
@@ -168,8 +173,7 @@ def _normalize(letters: Iterable[LetterPair]) -> tuple[LetterPair, ...]:
     return tuple(stack)
 
 
-@dataclass(frozen=True, slots=True)
-class GeneratorWord:
+class GeneratorWord(_Value):
     """A word in rho/tau/kappa, normalized on construction.
 
     >>> w = GeneratorWord(((Letter.RHO, 2), (Letter.RHO, -2), (Letter.KAPPA, 3)))
@@ -177,12 +181,19 @@ class GeneratorWord:
     'D'
     """
 
-    letters: tuple[LetterPair, ...] = field(default=())
+    __match_args__ = ("letters",)
+    __slots__ = __match_args__
+
+    def __init__(self, letters: Iterable[LetterPair] = ()) -> None:
+        object.__setattr__(self, "letters", letters)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "letters", _normalize(self.letters))
 
     def __mul__(self, other: "GeneratorWord") -> "GeneratorWord":
+        if not isinstance(other, GeneratorWord):
+            return NotImplemented
         return GeneratorWord(self.letters + other.letters)
 
     def __len__(self) -> int:
@@ -260,11 +271,14 @@ RELATORS: tuple[tuple[str, tuple[LetterPair, ...]], ...] = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class RelatorCheck:
-    name: str
-    product: Gl2Matrix
-    ok: bool
+class RelatorCheck(_Value):
+    __match_args__ = ("name", "product", "ok")
+    __slots__ = __match_args__
+
+    def __init__(self, name: str, product: Gl2Matrix, ok: bool) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "product", product)
+        object.__setattr__(self, "ok", ok)
 
 
 def check_presentation_relations() -> tuple[RelatorCheck, ...]:

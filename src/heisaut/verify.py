@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from operator import mul
 from typing import Callable, Iterable, Optional
 
@@ -40,31 +39,42 @@ WORD_LENGTH = 20
 WORD_EXPONENT = 9
 
 
-@dataclass(frozen=True, slots=True)
-class Failure:
-    sample: int
-    inputs: str
-    expected: str
-    actual: str
+class Failure(heis._Value):
+    __match_args__ = ("sample", "inputs", "expected", "actual")
+    __slots__ = __match_args__
+
+    def __init__(self, sample: int, inputs: str, expected: str,
+                 actual: str) -> None:
+        object.__setattr__(self, "sample", sample)
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "actual", actual)
 
 
-@dataclass(frozen=True, slots=True)
-class SuiteResult:
-    suite: str
-    samples: int
-    seed: int
-    elapsed: float
-    failures: tuple[Failure, ...]
+class SuiteResult(heis._Value):
+    __match_args__ = ("suite", "samples", "seed", "elapsed", "failures")
+    __slots__ = __match_args__
+
+    def __init__(self, suite: str, samples: int, seed: int, elapsed: float,
+                 failures: tuple[Failure, ...]) -> None:
+        object.__setattr__(self, "suite", suite)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "elapsed", elapsed)
+        object.__setattr__(self, "failures", failures)
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
 
-@dataclass(frozen=True, slots=True)
-class VerifyReport:
-    seed: int
-    results: tuple[SuiteResult, ...]
+class VerifyReport(heis._Value):
+    __match_args__ = ("seed", "results")
+    __slots__ = __match_args__
+
+    def __init__(self, seed: int, results: tuple[SuiteResult, ...]) -> None:
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "results", results)
 
     @property
     def ok(self) -> bool:
@@ -75,11 +85,14 @@ class VerifyReport:
 Outcome = Optional[tuple[str, str, str]]
 
 
-@dataclass(frozen=True, slots=True)
-class _Suite:
-    name: str
-    fn: Callable
-    static: bool
+class _Suite(heis._Value):
+    __match_args__ = ("name", "fn", "static")
+    __slots__ = __match_args__
+
+    def __init__(self, name: str, fn: Callable, static: bool) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "fn", fn)
+        object.__setattr__(self, "static", static)
 
 
 _SUITES: dict[str, _Suite] = {}
@@ -142,6 +155,8 @@ def run(
 ) -> VerifyReport:
     """Run the named suites (all of them by default).  Every argument
     is checked before any suite runs."""
+    if isinstance(names, str):
+        raise TypeError("names must be an iterable of suite names, not a str")
     selected = list(names) if names is not None else list(_SUITES)
     _check_arguments(selected, samples, seed)
     return VerifyReport(seed, tuple(run_suite(n, samples, seed) for n in selected))

@@ -379,13 +379,17 @@ def test_integer_accepts_the_value_grammar():
 
 
 def test_verify_not_imported_by_cli():
-    # verify is the largest module; only the verify command loads it
+    # verify is the largest module; only the verify command loads it.
+    # dataclasses would pull in inspect, ast, dis and tokenize at start-up
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    probe = ("import sys, heisaut.cli; "
-             "print('heisaut.verify' in sys.modules, 'json' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout == "False False\n"
+    loaded = ("print(*(m in sys.modules for m in "
+              "('heisaut.verify', 'json', 'dataclasses', 'inspect')))")
+    for module, expected in (("heisaut.cli", "False False False False\n"),
+                             ("heisaut.verify", "True False False False\n")):
+        probe = f"import sys, {module}; {loaded}"
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout == expected, module
     probe = "import heisaut; print(heisaut.verify.run.__module__)"
     proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
@@ -603,3 +607,42 @@ def test_verify_help_lists_every_suite(capsys):
     text = "".join(_help(capsys, "verify").split())
     assert "available:" + ",".join(verify.available_suites()) in text
     assert len(verify.available_suites()) == 29
+
+
+# ---------------------------------------------------------------------------
+# main builds only the branch its first two words name; every command
+# line parses as it does with the whole tree
+
+def _branch_corpus():
+    yield from ([], ["--help"], ["nope"], ["elem"], ["elem", "--help"],
+                ["elem", "nope"], ["elem", "--json", "mul", "(1,0,0)", "(0,1,0)"],
+                ["verify", "--json", "relations", "--samples", "1"])
+    for family, command, _, _, _, positionals, options in cli._commands():
+        head = [family] + ([command] if command else [])
+        args = ["3" if parse is cli.integer else "x" for _, parse in positionals]
+        yield head + args
+        yield head + ["--help"]
+        yield head + args + ["--json", "extra"]
+        if args:
+            yield head + args[:-1]
+        yield head + ["--bogus"] + args
+        for flag, _ in options:
+            if flag.startswith("--"):
+                yield head + args + [flag]
+
+
+def _parse(capsys, parser, argv):
+    try:
+        namespace, code = vars(parser.parse_args(argv)), None
+        namespace.pop("handler")
+    except SystemExit as exc:
+        namespace, code = None, exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, namespace
+
+
+@pytest.mark.parametrize("argv", [pytest.param(argv, id=" ".join(argv) or "-")
+                                  for argv in _branch_corpus()])
+def test_branch_parser_parses_as_the_whole_tree(capsys, argv):
+    assert _parse(capsys, cli.build_parser(argv[:2]), argv) == \
+        _parse(capsys, cli.build_parser(), argv)

@@ -1,18 +1,38 @@
-"""What the value constructors accept and reject, field by field.
+"""What the value constructors accept and reject, field by field, and
+the contract every value class keeps.
 
 Plain ints take a fast path in each constructor; everything else goes
 through heis._check_int.  These tests pin the observable behaviour of
 both routes: the exception type, the field it names, and the messages.
+The contract tests pin what the classes share: keyword construction,
+repr, == and hash within one class only, pickling and copying, frozen
+fields and no instance __dict__.
 """
+
+import copy
+import operator
+import pickle
 
 import pytest
 
 from collections import namedtuple
 
-from heisaut import gl2
+from heisaut import gl2, verify
 from heisaut.aut import ZERO_VECTOR, Automorphism, InnerVector
-from heisaut.cocycles import Cocycle, SectionOnGenerators, canonical_section
-from heisaut.gl2 import GeneratorWord, Gl2Matrix, Letter, eval_letters
+from heisaut.cocycles import (
+    Cocycle,
+    LatticeReport,
+    SectionOnGenerators,
+    canonical_section,
+)
+from heisaut.gl2 import (
+    EMPTY_WORD,
+    GeneratorWord,
+    Gl2Matrix,
+    Letter,
+    RelatorCheck,
+    eval_letters,
+)
 from heisaut.heis import AbPair, HeisElement
 
 
@@ -156,3 +176,153 @@ def test_value_field_subclass_accepted():
         pass
 
     assert Cocycle(V(0, 0), ZERO_VECTOR, ZERO_VECTOR).v_rho.q == 0
+
+
+# ---------------------------------------------------------------------------
+# the value-class contract, for every value class of the package
+
+FAILURE = verify.Failure(sample=2, inputs="g=(1,2,3)", expected="(0,0,0)",
+                         actual="(0,0,1)")
+RESULT = verify.SuiteResult(suite="relations", samples=1, seed=0, elapsed=0.5,
+                            failures=(FAILURE,))
+# a twist of the canonical section: its kept vector is (3,-2), not zero
+TWISTED = dict(alpha_rho=Automorphism(gl2.A, 0, -2),
+               alpha_tau=Automorphism(gl2.B, 3, 0),
+               alpha_kappa=Automorphism(gl2.D, 0, -7))
+M_A = "Gl2Matrix(m11=1, m12=1, m21=0, m22=1)"
+M_B = "Gl2Matrix(m11=1, m12=0, m21=-1, m22=1)"
+M_D = "Gl2Matrix(m11=-1, m12=0, m21=0, m22=1)"
+FAILURE_REPR = ("Failure(sample=2, inputs='g=(1,2,3)', expected='(0,0,0)', "
+                "actual='(0,0,1)')")
+RESULT_REPR = ("SuiteResult(suite='relations', samples=1, seed=0, "
+               f"elapsed=0.5, failures=({FAILURE_REPR},))")
+
+# (class, keyword arguments in field order, exact repr)
+VALUES = [
+    (HeisElement, dict(a=1, b=-2, c=3), "HeisElement(a=1, b=-2, c=3)"),
+    (AbPair, dict(h=4, p=-5), "AbPair(h=4, p=-5)"),
+    (Gl2Matrix, dict(m11=1, m12=1, m21=0, m22=1), M_A),
+    (GeneratorWord, dict(letters=((Letter.RHO, 2), (Letter.KAPPA, 1))),
+     "GeneratorWord(letters=((<Letter.RHO: 'A'>, 2), (<Letter.KAPPA: 'D'>, 1)))"),
+    (RelatorCheck, dict(name="kappa^2 = 1", product=gl2.A, ok=False),
+     f"RelatorCheck(name='kappa^2 = 1', product={M_A}, ok=False)"),
+    (Automorphism, dict(matrix=gl2.D, r=0, u=-1),
+     f"Automorphism(matrix={M_D}, r=0, u=-1)"),
+    (InnerVector, dict(p=9, q=-10), "InnerVector(p=9, q=-10)"),
+    (Cocycle, dict(v_rho=InnerVector(-2, 0), v_tau=InnerVector(0, -3),
+                   v_kappa=InnerVector(-6, 0)),
+     "Cocycle(v_rho=InnerVector(p=-2, q=0), v_tau=InnerVector(p=0, q=-3), "
+     "v_kappa=InnerVector(p=-6, q=0))"),
+    (LatticeReport, dict(rank=1, basis=((1, 0),), coboundary_basis=((0, 1),),
+                         equals_coboundary_lattice=False),
+     "LatticeReport(rank=1, basis=((1, 0),), coboundary_basis=((0, 1),), "
+     "equals_coboundary_lattice=False)"),
+    (SectionOnGenerators, TWISTED,
+     f"SectionOnGenerators(alpha_rho=Automorphism(matrix={M_A}, r=0, u=-2), "
+     f"alpha_tau=Automorphism(matrix={M_B}, r=3, u=0), "
+     f"alpha_kappa=Automorphism(matrix={M_D}, r=0, u=-7))"),
+    (verify.Failure, dict(sample=2, inputs="g=(1,2,3)", expected="(0,0,0)",
+                          actual="(0,0,1)"), FAILURE_REPR),
+    (verify.SuiteResult, dict(suite="relations", samples=1, seed=0,
+                              elapsed=0.5, failures=(FAILURE,)), RESULT_REPR),
+    (verify.VerifyReport, dict(seed=0, results=(RESULT,)),
+     f"VerifyReport(seed=0, results=({RESULT_REPR},))"),
+    (verify._Suite, dict(name="len", fn=len, static=True),
+     "_Suite(name='len', fn=<built-in function len>, static=True)"),
+]
+
+contract = pytest.mark.parametrize("cls, kwargs, text", VALUES,
+                                   ids=[v[0].__name__ for v in VALUES])
+
+
+@contract
+def test_keyword_construction_and_repr(cls, kwargs, text):
+    value = cls(**kwargs)
+    assert value == cls(*kwargs.values())
+    assert repr(value) == text
+    assert cls.__match_args__ == tuple(kwargs)
+
+
+@contract
+def test_equal_values_hash_equally(cls, kwargs, text):
+    assert hash(cls(**kwargs)) == hash(cls(*kwargs.values()))
+
+
+@contract
+def test_pickle_and_copy_round_trip(cls, kwargs, text):
+    value = cls(**kwargs)
+    for restored in (pickle.loads(pickle.dumps(value)), copy.copy(value),
+                     copy.deepcopy(value)):
+        assert type(restored) is cls
+        assert restored == value
+        assert repr(restored) == text
+
+
+@contract
+def test_fields_are_frozen(cls, kwargs, text):
+    value = cls(**kwargs)
+    for name, field in kwargs.items():
+        with pytest.raises(AttributeError):
+            setattr(value, name, field)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert getattr(value, name) is not None
+    assert not hasattr(value, "__dict__")
+
+
+def test_section_keeps_its_vector_through_pickle_and_copy():
+    section = SectionOnGenerators(**TWISTED)
+    assert section._a == InnerVector(3, -2)
+    for restored in (pickle.loads(pickle.dumps(section)), copy.copy(section),
+                     copy.deepcopy(section)):
+        assert restored._a == InnerVector(3, -2)
+
+
+def test_equality_is_per_class():
+    assert InnerVector(1, 2) != AbPair(1, 2)
+    assert AbPair(1, 2) != InnerVector(1, 2)
+    assert InnerVector(1, 2) != (1, 2)
+    assert (1, 2) != InnerVector(1, 2)
+    assert InnerVector(1, 2).__eq__(AbPair(1, 2)) is NotImplemented
+
+
+# (operator, a value, an operand of a foreign type)
+FOREIGN_OPERANDS = [
+    (operator.mul, HeisElement(1, 2, 3), 5),
+    (operator.mul, HeisElement(1, 2, 3), (1, 2, 3)),
+    (operator.add, AbPair(1, 2), (1, 2)),
+    (operator.add, AbPair(1, 2), InnerVector(1, 2)),
+    (operator.mul, gl2.A, 3),
+    (operator.mul, gl2.A, Automorphism(gl2.A, 0, 0)),
+    (operator.mul, EMPTY_WORD, "A"),
+    (operator.mul, Automorphism(gl2.A, 0, 0), gl2.A),
+    (operator.add, InnerVector(1, 2), (1, 2)),
+    (operator.add, InnerVector(1, 2), AbPair(1, 2)),
+    (operator.sub, InnerVector(1, 2), (1, 2)),
+    (operator.add, Cocycle(ZERO_VECTOR, ZERO_VECTOR, ZERO_VECTOR), 0),
+    (operator.sub, Cocycle(ZERO_VECTOR, ZERO_VECTOR, ZERO_VECTOR), ZERO_VECTOR),
+]
+
+
+@pytest.mark.parametrize(
+    "op, value, other", FOREIGN_OPERANDS,
+    ids=[f"{type(v).__name__}{op.__name__}{type(o).__name__}"
+         for op, v, o in FOREIGN_OPERANDS])
+def test_foreign_operand_is_unsupported(op, value, other):
+    # a str or tuple operand then tries its own repetition, which refuses
+    # a non-int with a TypeError of its own
+    with pytest.raises(TypeError,
+                       match="^(unsupported operand type|can't multiply sequence)"):
+        op(value, other)
+
+
+def test_operand_subclass_accepted():
+    class V(InnerVector):
+        pass
+
+    class H(HeisElement):
+        pass
+
+    assert InnerVector(1, 2) + V(3, 4) == InnerVector(4, 6)
+    assert InnerVector(1, 2) - V(3, 4) == InnerVector(-2, -2)
+    assert HeisElement(1, 0, 0) * H(0, 1, 0) == HeisElement(1, 1, 1)

@@ -63,3 +63,11 @@ def test_seed_must_be_an_int(counted, seed):
     with pytest.raises(TypeError, match=f"^seed must be an int, got {name}$"):
         verify.run_suite("group-axioms", 2, seed)
     assert counted == []
+
+
+def test_names_must_not_be_a_str(counted):
+    # a str is an iterable of one-letter names: it used to fail on 'g'
+    with pytest.raises(TypeError, match="^names must be an iterable of suite "
+                                        "names, not a str$"):
+        verify.run("group-axioms", samples=2)
+    assert counted == []
