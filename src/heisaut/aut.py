@@ -44,12 +44,6 @@ class Automorphism(_Value):
     __match_args__ = ("matrix", "r", "u")
     __slots__ = __match_args__
 
-    def __init__(self, matrix: Gl2Matrix, r: int, u: int) -> None:
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "u", u)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
         if not isinstance(self.matrix, Gl2Matrix):
             raise TypeError("matrix must be a Gl2Matrix")
@@ -78,11 +72,6 @@ class InnerVector(_Value):
 
     __match_args__ = ("p", "q")
     __slots__ = __match_args__
-
-    def __init__(self, p: int, q: int) -> None:
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         p, q = self.p, self.q
@@ -114,6 +103,10 @@ ZERO_VECTOR = InnerVector(0, 0)
 
 def act(m: Gl2Matrix, v: InnerVector) -> InnerVector:
     """The natural GL(2,Z) action on Z + Z: matrix times column vector."""
+    if not isinstance(m, Gl2Matrix):
+        raise TypeError(f"m must be a Gl2Matrix, got {type(m).__name__}")
+    if not isinstance(v, InnerVector):
+        raise TypeError(f"v must be an InnerVector, got {type(v).__name__}")
     return InnerVector(m.m11 * v.p + m.m12 * v.q, m.m21 * v.p + m.m22 * v.q)
 
 
@@ -130,6 +123,11 @@ def apply(omega: Automorphism, g: HeisElement) -> HeisElement:
     >>> str(apply(section(gl2.D), HeisElement(1, 1, -1)))
     '(-1,1,0)'
     """
+    if not isinstance(omega, Automorphism):
+        raise TypeError(
+            f"omega must be an Automorphism, got {type(omega).__name__}")
+    if not isinstance(g, HeisElement):
+        raise TypeError(f"g must be a HeisElement, got {type(g).__name__}")
     m = omega.matrix
     return HeisElement(*kernels.aut_apply(
         m.m11, m.m12, m.m21, m.m22, omega.r, omega.u, g.a, g.b, g.c))

@@ -182,13 +182,6 @@ class Cocycle(_Value):
     __match_args__ = ("v_rho", "v_tau", "v_kappa")
     __slots__ = __match_args__
 
-    def __init__(self, v_rho: InnerVector, v_tau: InnerVector,
-                 v_kappa: InnerVector) -> None:
-        object.__setattr__(self, "v_rho", v_rho)
-        object.__setattr__(self, "v_tau", v_tau)
-        object.__setattr__(self, "v_kappa", v_kappa)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
         v_rho, v_tau, v_kappa = self.v_rho, self.v_tau, self.v_kappa
         if not (type(v_rho) is InnerVector and type(v_tau) is InnerVector
@@ -307,15 +300,6 @@ class LatticeReport(_Value):
                       "equals_coboundary_lattice")
     __slots__ = __match_args__
 
-    def __init__(self, rank: int, basis: tuple[Vector, ...],
-                 coboundary_basis: tuple[Vector, ...],
-                 equals_coboundary_lattice: bool) -> None:
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "coboundary_basis", coboundary_basis)
-        object.__setattr__(self, "equals_coboundary_lattice",
-                           equals_coboundary_lattice)
-
 
 def cocycle_lattice() -> LatticeReport:
     """Solve the relator constraints over Z and compare against the
@@ -368,13 +352,6 @@ class SectionOnGenerators(_Value):
 
     __match_args__ = ("alpha_rho", "alpha_tau", "alpha_kappa")
     __slots__ = (*__match_args__, "_a")
-
-    def __init__(self, alpha_rho: Automorphism, alpha_tau: Automorphism,
-                 alpha_kappa: Automorphism) -> None:
-        object.__setattr__(self, "alpha_rho", alpha_rho)
-        object.__setattr__(self, "alpha_tau", alpha_tau)
-        object.__setattr__(self, "alpha_kappa", alpha_kappa)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         for sym, want in gl2.GENERATORS.items():

@@ -37,13 +37,6 @@ class Gl2Matrix(_Value):
     __match_args__ = ("m11", "m12", "m21", "m22")
     __slots__ = __match_args__
 
-    def __init__(self, m11: int, m12: int, m21: int, m22: int) -> None:
-        object.__setattr__(self, "m11", m11)
-        object.__setattr__(self, "m12", m12)
-        object.__setattr__(self, "m21", m21)
-        object.__setattr__(self, "m22", m22)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
         m11, m12, m21, m22 = self.m11, self.m12, self.m21, self.m22
         if not (type(m11) is int and type(m12) is int
@@ -148,7 +141,15 @@ GENERATORS = {Letter.RHO: A, Letter.TAU: B, Letter.KAPPA: D}
 LetterPair = tuple[Letter, int]
 
 
+def _reject_str(pairs: Iterable[LetterPair]) -> None:
+    # a str iterates as characters, which then fail to unpack as pairs
+    if isinstance(pairs, str):
+        raise TypeError("word letters must be (Letter, int) pairs, not a "
+                        "str; read a word's text with gl2.parse_word")
+
+
 def _normalize(letters: Iterable[LetterPair]) -> tuple[LetterPair, ...]:
+    _reject_str(letters)
     stack: list[LetterPair] = []
     for sym, exp in letters:
         if not isinstance(sym, Letter):
@@ -213,12 +214,13 @@ def eval_letters(pairs: Sequence[LetterPair]) -> Gl2Matrix:
     column operation on plain ints: rho^e adds e times column 1 to
     column 2, tau^e subtracts e times column 2 from column 1, and kappa^e
     negates column 1 when e is odd.  One Gl2Matrix is built at the end.
-    A symbol that is not a Letter, or an exponent that is not an int,
-    raises TypeError.
+    A str, a symbol that is not a Letter, or an exponent that is not an
+    int raises TypeError.
 
     >>> eval_letters(((Letter.RHO, 2), (Letter.TAU, 1))) == A ** 2 * B
     True
     """
+    _reject_str(pairs)
     m11, m12, m21, m22 = 1, 0, 0, 1
     for sym, exp in pairs:
         if type(exp) is not int:
@@ -243,6 +245,8 @@ def eval_word(w: GeneratorWord) -> Gl2Matrix:
     >>> eval_word(parse_word("D D")) == IDENTITY
     True
     """
+    if not isinstance(w, GeneratorWord):
+        raise TypeError(f"w must be a GeneratorWord, got {type(w).__name__}")
     return eval_letters(w.letters)
 
 
@@ -274,11 +278,6 @@ RELATORS: tuple[tuple[str, tuple[LetterPair, ...]], ...] = (
 class RelatorCheck(_Value):
     __match_args__ = ("name", "product", "ok")
     __slots__ = __match_args__
-
-    def __init__(self, name: str, product: Gl2Matrix, ok: bool) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "product", product)
-        object.__setattr__(self, "ok", ok)
 
 
 def check_presentation_relations() -> tuple[RelatorCheck, ...]:

@@ -19,14 +19,16 @@ size.  Values are immutable and safe to share between threads.
 
 Every value class of the package (HeisElement, AbPair, and those of gl2,
 aut, cocycles and verify) derives from the private base _Value.  A class
-names its fields in __match_args__, declares its own __slots__ and
-writes its own __init__, which sets each field with object.__setattr__
-and then calls self.__post_init__() where the class validates; the hook
-is looked up on the class at each call, so perfbench's tracer can wrap
-it there to count validations.  The base adds what a frozen dataclass would: == and hash over the fields,
-for the same class only, a repr Name(field=value, ...), pickling and
-copying through the constructor (so an unpickled value is checked
-again), and AttributeError on assigning or deleting a field.
+declares its fields in __match_args__, its own __slots__, and an optional
+__post_init__ where it validates.  The base writes the constructor: an
+__init__ over the fields, in order, that sets each one and then calls
+self.__post_init__() if the class has that hook.  The hook is looked up
+on the class at each call, so perfbench's tracer can wrap it there to
+count validations.  The base also adds what a frozen dataclass would:
+== and hash over the fields, for the same class only, a repr
+Name(field=value, ...), pickling and copying through the constructor
+(so an unpickled value is checked again), and AttributeError on
+assigning or deleting a field.
 """
 
 from __future__ import annotations
@@ -46,15 +48,25 @@ def _check_int(value: object, name: str) -> None:
 
 
 class _Value:
-    """Immutable value over the fields named in ``__match_args__``."""
+    """Immutable value over the fields named in ``__match_args__``.
+
+    A subclass that declares ``__match_args__`` and writes no ``__init__``
+    gets one with exactly those parameters, generated from source as
+    dataclasses does: a generic ``*args`` constructor costs about twice
+    as much per value, and value construction dominates verify.  A
+    subclass that declares no fields keeps its parent's ``__init__``.
+    """
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
+        fields = cls.__match_args__
         # the fields in one C call: == is hot in verify
-        cls._fields = attrgetter(*cls.__match_args__)
+        cls._fields = attrgetter(*fields)
+        if "__match_args__" in vars(cls) and "__init__" not in vars(cls):
+            cls.__init__ = _make_init(cls, fields)
 
     def __eq__(self, other: object):
         if other.__class__ is self.__class__:
@@ -80,17 +92,25 @@ class _Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def _make_init(cls: type, fields: tuple[str, ...]):
+    body = [f"    _set(self, {name!r}, {name})" for name in fields]
+    if hasattr(cls, "__post_init__"):
+        body.append("    self.__post_init__()")
+    source = f"def __init__(self, {', '.join(fields)}):\n" + "\n".join(body)
+    # __name__ makes the function's __module__ the class's
+    namespace = {"_set": object.__setattr__, "__name__": cls.__module__}
+    exec(source, namespace)
+    init = namespace["__init__"]
+    # TypeError messages name the function by it: "HeisElement.__init__()"
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
+
+
 class HeisElement(_Value):
     """A group element (a, b, c).  Any integer triple is valid."""
 
     __match_args__ = ("a", "b", "c")
     __slots__ = __match_args__
-
-    def __init__(self, a: int, b: int, c: int) -> None:
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         a, b, c = self.a, self.b, self.c
@@ -119,11 +139,6 @@ class AbPair(_Value):
 
     __match_args__ = ("h", "p")
     __slots__ = __match_args__
-
-    def __init__(self, h: int, p: int) -> None:
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "p", p)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         h, p = self.h, self.p

@@ -43,25 +43,10 @@ class Failure(heis._Value):
     __match_args__ = ("sample", "inputs", "expected", "actual")
     __slots__ = __match_args__
 
-    def __init__(self, sample: int, inputs: str, expected: str,
-                 actual: str) -> None:
-        object.__setattr__(self, "sample", sample)
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "expected", expected)
-        object.__setattr__(self, "actual", actual)
-
 
 class SuiteResult(heis._Value):
     __match_args__ = ("suite", "samples", "seed", "elapsed", "failures")
     __slots__ = __match_args__
-
-    def __init__(self, suite: str, samples: int, seed: int, elapsed: float,
-                 failures: tuple[Failure, ...]) -> None:
-        object.__setattr__(self, "suite", suite)
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "elapsed", elapsed)
-        object.__setattr__(self, "failures", failures)
 
     @property
     def ok(self) -> bool:
@@ -71,10 +56,6 @@ class SuiteResult(heis._Value):
 class VerifyReport(heis._Value):
     __match_args__ = ("seed", "results")
     __slots__ = __match_args__
-
-    def __init__(self, seed: int, results: tuple[SuiteResult, ...]) -> None:
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "results", results)
 
     @property
     def ok(self) -> bool:
@@ -88,11 +69,6 @@ Outcome = Optional[tuple[str, str, str]]
 class _Suite(heis._Value):
     __match_args__ = ("name", "fn", "static")
     __slots__ = __match_args__
-
-    def __init__(self, name: str, fn: Callable, static: bool) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "fn", fn)
-        object.__setattr__(self, "static", static)
 
 
 _SUITES: dict[str, _Suite] = {}

@@ -4,12 +4,14 @@ the contract every value class keeps.
 Plain ints take a fast path in each constructor; everything else goes
 through heis._check_int.  These tests pin the observable behaviour of
 both routes: the exception type, the field it names, and the messages.
-The contract tests pin what the classes share: keyword construction,
-repr, == and hash within one class only, pickling and copying, frozen
-fields and no instance __dict__.
+The contract tests pin what the classes share: the constructor's
+parameters, messages and validation hook, keyword construction, repr,
+== and hash within one class only, pickling and copying, frozen fields
+and no instance __dict__.
 """
 
 import copy
+import inspect
 import operator
 import pickle
 
@@ -17,9 +19,10 @@ import pytest
 
 from collections import namedtuple
 
-from heisaut import gl2, verify
+from heisaut import aut, cocycles, gl2, verify
 from heisaut.aut import ZERO_VECTOR, Automorphism, InnerVector
 from heisaut.cocycles import (
+    ZERO_COCYCLE,
     Cocycle,
     LatticeReport,
     SectionOnGenerators,
@@ -132,6 +135,14 @@ def test_word_exponents(bad):
         eval_letters(((Letter.TAU, bad),))
 
 
+@pytest.mark.parametrize("build", [GeneratorWord, eval_letters],
+                         ids=["GeneratorWord", "eval_letters"])
+def test_word_text_rejected(build):
+    # a str would iterate as characters, each unpacked as a pair
+    with pytest.raises(TypeError, match="not a str; .*gl2.parse_word$"):
+        build("A B")
+
+
 def test_word_exponent_int_subclass_accepted():
     raw = ((Letter.RHO, Big(2)), (Letter.KAPPA, Big(3)))
     assert GeneratorWord(raw) == GeneratorWord(((Letter.RHO, 2), (Letter.KAPPA, 1)))
@@ -236,6 +247,67 @@ contract = pytest.mark.parametrize("cls, kwargs, text", VALUES,
 
 
 @contract
+def test_constructor_parameters_are_the_fields(cls, kwargs, text):
+    params = inspect.signature(cls).parameters
+    assert tuple(params) == cls.__match_args__
+    defaults = {name: p.default for name, p in params.items()
+                if p.default is not p.empty}
+    assert defaults == ({"letters": ()} if cls is GeneratorWord else {})
+    assert cls.__init__.__module__ == cls.__module__
+
+
+@contract
+def test_constructor_argument_errors(cls, kwargs, text):
+    prefix = f"{cls.__qualname__}.__init__() "
+    args = list(kwargs.values())
+    calls = [lambda: cls(*args, None), lambda: cls(**kwargs, extra=None)]
+    if cls is not GeneratorWord:
+        calls.append(lambda: cls(*args[:-1]))
+    for call in calls:
+        with pytest.raises(TypeError) as info:
+            call()
+        assert str(info.value).startswith(prefix)
+
+
+def test_subclass_without_fields_keeps_the_constructor():
+    class V(InnerVector):
+        pass
+
+    assert V.__init__ is InnerVector.__init__
+    assert V(1, 2).q == 2
+
+
+# the classes that validate in __post_init__, which perfbench's tracer
+# wraps on the class to count each construction
+VALIDATING = (HeisElement, AbPair, Gl2Matrix, GeneratorWord, Automorphism,
+              InnerVector, Cocycle, SectionOnGenerators)
+
+
+HOOKED = [(cls, kwargs) for cls, kwargs, _ in VALUES if cls in VALIDATING]
+
+
+def test_validating_classes_are_the_ones_with_the_hook():
+    hooked = {cls for cls, _, _ in VALUES if hasattr(cls, "__post_init__")}
+    assert hooked == set(VALIDATING)
+
+
+@pytest.mark.parametrize("cls, kwargs", HOOKED,
+                         ids=[cls.__name__ for cls, _ in HOOKED])
+def test_hook_runs_once_per_construction(cls, kwargs, monkeypatch):
+    hook, calls = cls.__post_init__, []
+
+    def counting(self):
+        calls.append(self)
+        hook(self)
+
+    monkeypatch.setattr(cls, "__post_init__", counting)
+    first = cls(**kwargs)
+    second = cls(*kwargs.values())
+    assert len(calls) == 2
+    assert calls[0] is first and calls[1] is second
+
+
+@contract
 def test_keyword_construction_and_repr(cls, kwargs, text):
     value = cls(**kwargs)
     assert value == cls(*kwargs.values())
@@ -314,6 +386,55 @@ def test_foreign_operand_is_unsupported(op, value, other):
     with pytest.raises(TypeError,
                        match="^(unsupported operand type|can't multiply sequence)"):
         op(value, other)
+
+
+# (library call, its arguments with one of a foreign type, the message)
+FOREIGN_ARGUMENTS = [
+    pytest.param(aut.apply, (aut.rd(1), 5), "g must be a HeisElement, got int",
+                 id="apply-int"),
+    pytest.param(aut.apply, (aut.rd(1), (0, 1, 0)),
+                 "g must be a HeisElement, got tuple", id="apply-tuple"),
+    pytest.param(aut.apply, (gl2.A, HeisElement(0, 1, 0)),
+                 "omega must be an Automorphism, got Gl2Matrix",
+                 id="apply-matrix"),
+    pytest.param(aut.rd(1), (AbPair(0, 1),),
+                 "g must be a HeisElement, got AbPair", id="call-AbPair"),
+    pytest.param(aut.act, (gl2.A, (1, 2)),
+                 "v must be an InnerVector, got tuple", id="act-tuple"),
+    pytest.param(aut.act, (gl2.A, AbPair(1, 2)),
+                 "v must be an InnerVector, got AbPair", id="act-AbPair"),
+    pytest.param(aut.act, ((1, 1, 0, 1), ZERO_VECTOR),
+                 "m must be a Gl2Matrix, got tuple", id="act-matrix-tuple"),
+    pytest.param(gl2.eval_word, ("A B",), "w must be a GeneratorWord, got str",
+                 id="eval_word-str"),
+    pytest.param(gl2.eval_word, (((Letter.RHO, 1),),),
+                 "w must be a GeneratorWord, got tuple", id="eval_word-tuple"),
+    pytest.param(cocycles.extend, (ZERO_COCYCLE, gl2.A),
+                 "w must be a GeneratorWord, got Gl2Matrix",
+                 id="extend-matrix"),
+]
+
+
+@pytest.mark.parametrize("fn, args, message", FOREIGN_ARGUMENTS)
+def test_foreign_argument_is_a_type_error(fn, args, message):
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        fn(*args)
+
+
+def test_argument_subclass_accepted():
+    class H(HeisElement):
+        pass
+
+    class V(InnerVector):
+        pass
+
+    class W(GeneratorWord):
+        pass
+
+    omega = aut.rd(1)
+    assert omega(H(0, 1, 0)) == omega(HeisElement(0, 1, 0))
+    assert aut.act(gl2.A, V(1, 2)) == InnerVector(3, 2)
+    assert gl2.eval_word(W(((Letter.RHO, 1),))) == gl2.A
 
 
 def test_operand_subclass_accepted():
