@@ -35,7 +35,7 @@ import re
 from . import gl2
 from ._backend import kernels
 from .gl2 import Gl2Matrix, _affine_power
-from .heis import _INT, HeisElement, _check_int, _Value
+from .heis import _INT, HeisElement, _check_int, _expect, _Value
 
 
 class Automorphism(_Value):
@@ -103,10 +103,8 @@ ZERO_VECTOR = InnerVector(0, 0)
 
 def act(m: Gl2Matrix, v: InnerVector) -> InnerVector:
     """The natural GL(2,Z) action on Z + Z: matrix times column vector."""
-    if not isinstance(m, Gl2Matrix):
-        raise TypeError(f"m must be a Gl2Matrix, got {type(m).__name__}")
-    if not isinstance(v, InnerVector):
-        raise TypeError(f"v must be an InnerVector, got {type(v).__name__}")
+    _expect(m, Gl2Matrix, "m")
+    _expect(v, InnerVector, "v")
     return InnerVector(m.m11 * v.p + m.m12 * v.q, m.m21 * v.p + m.m22 * v.q)
 
 
@@ -116,34 +114,47 @@ def apply(omega: Automorphism, g: HeisElement) -> HeisElement:
         (a*m11 + b*m12, a*m21 + b*m22,
          det*c + a*r + b*u + C(a,2)*m11*m21 + C(b,2)*m12*m22 + a*b*m12*m21)
 
-    which is the expansion of omega(z)^c * omega(y)^b * omega(x)^a.
+    which is the expansion of omega(z)^c * omega(y)^b * omega(x)^a;
+    every integer triple is an element.
 
     >>> str(apply(section(gl2.A), HeisElement(1, -1, 0)))
     '(0,-1,1)'
     >>> str(apply(section(gl2.D), HeisElement(1, 1, -1)))
     '(-1,1,0)'
     """
-    if not isinstance(omega, Automorphism):
-        raise TypeError(
-            f"omega must be an Automorphism, got {type(omega).__name__}")
-    if not isinstance(g, HeisElement):
-        raise TypeError(f"g must be a HeisElement, got {type(g).__name__}")
+    _expect(omega, Automorphism, "omega")
+    _expect(g, HeisElement, "g")
     m = omega.matrix
-    return HeisElement(*kernels.aut_apply(
-        m.m11, m.m12, m.m21, m.m22, omega.r, omega.u, g.a, g.b, g.c))
+    m11, m12, m21, m22 = m.m11, m.m12, m.m21, m.m22
+    a, b = g.a, g.b
+    return HeisElement._of(
+        a * m11 + b * m12, a * m21 + b * m22,
+        (m11 * m22 - m12 * m21) * g.c
+        + kernels.aut_offset(m11, m12, m21, m22, omega.r, omega.u, a, b))
 
 
 def compose(omega2: Automorphism, omega1: Automorphism) -> Automorphism:
     """The automorphism g -> omega2(omega1(g)); matrix part is M2*M1.
 
+    Its offsets are omega2 applied to omega1's generator images: the
+    c-coordinate of omega2((m11, m21, r1)) is det M2 * r1 plus the
+    offset omega2 gives (m11, m21, 0), and likewise for y.  M2*M1 has
+    det +-1, and any integer offsets make an automorphism.
+
     >>> compose(IDENTITY_AUT, rd(7)) == rd(7)
     True
     """
-    m2, m1 = omega2.matrix, omega1.matrix
-    data = kernels.aut_compose(
-        m2.m11, m2.m12, m2.m21, m2.m22, omega2.r, omega2.u,
-        m1.m11, m1.m12, m1.m21, m1.m22, omega1.r, omega1.u)
-    return Automorphism(Gl2Matrix(*data[:4]), data[4], data[5])
+    _expect(omega2, Automorphism, "omega2")
+    _expect(omega1, Automorphism, "omega1")
+    n, m = omega2.matrix, omega1.matrix
+    n11, n12, n21, n22 = n.m11, n.m12, n.m21, n.m22
+    m11, m12, m21, m22 = m.m11, m.m12, m.m21, m.m22
+    r2, u2 = omega2.r, omega2.u
+    d = n11 * n22 - n12 * n21
+    return Automorphism._of(
+        Gl2Matrix._of(*kernels.mat_mul(n11, n12, n21, n22, m11, m12, m21, m22)),
+        d * omega1.r + kernels.aut_offset(n11, n12, n21, n22, r2, u2, m11, m21),
+        d * omega1.u + kernels.aut_offset(n11, n12, n21, n22, r2, u2, m12, m22))
 
 
 def invert(omega: Automorphism) -> Automorphism:
@@ -151,16 +162,20 @@ def invert(omega: Automorphism) -> Automorphism:
     by one linear equation with unit coefficient det(M), e.g. the
     offset r' of omega^-1 must satisfy omega((n11, n21, r')) = x where
     (n11, n21) is the first column of M^-1, and r' enters that
-    c-coordinate as det * r'.
+    c-coordinate as det * r'.  So r' = -det * t, where t is the offset
+    omega gives (n11, n21, 0); integer offsets make an automorphism.
 
     >>> invert(section(gl2.D)) == section(gl2.D)
     True
     """
-    n = gl2.mat_inverse(omega.matrix)
-    d = omega.matrix.det
-    t = apply(omega, HeisElement(n.m11, n.m21, 0)).c
-    s = apply(omega, HeisElement(n.m12, n.m22, 0)).c
-    return Automorphism(n, -t * d, -s * d)
+    _expect(omega, Automorphism, "omega")
+    m, r, u = omega.matrix, omega.r, omega.u
+    n = gl2.mat_inverse(m)
+    d = m.det
+    m11, m12, m21, m22 = m.m11, m.m12, m.m21, m.m22
+    return Automorphism._of(
+        n, -d * kernels.aut_offset(m11, m12, m21, m22, r, u, n.m11, n.m21),
+        -d * kernels.aut_offset(m11, m12, m21, m22, r, u, n.m12, n.m22))
 
 
 def power(omega: Automorphism, n: int) -> Automorphism:
@@ -187,12 +202,14 @@ def power(omega: Automorphism, n: int) -> Automorphism:
     >>> power(inner(InnerVector(1, 2)), -4) == inner(InnerVector(-4, -8))
     True
     """
+    _expect(omega, Automorphism, "omega")
     _check_int(n, "n")
     if n < 0:
         omega, n = invert(omega), -n
     v, m = normal_form(omega)
     mn, sv = _affine_power(m.entries(), (v.p, v.q), n)
-    return compose(inner(InnerVector(*sv)), section(Gl2Matrix(*mn)))
+    # M^n has det (det M)^n = +-1
+    return compose(inner(InnerVector(*sv)), section(Gl2Matrix._of(*mn)))
 
 
 def _compose_power(omega: Automorphism, n: int) -> Automorphism:
@@ -200,19 +217,21 @@ def _compose_power(omega: Automorphism, n: int) -> Automorphism:
 
     The generic route, independent of section() and normal_form(): the
     oracle for power() in verify and the power behind
-    SectionOnGenerators.eval_letters.
+    SectionOnGenerators.eval_letters.  The product starts from its first
+    factor, not from a compose with IDENTITY_AUT, so |n| = 1 makes no
+    compose at all; n = 0 gives IDENTITY_AUT.
     """
     _check_int(n, "n")
     if n < 0:
         omega, n = invert(omega), -n
-    result, base = IDENTITY_AUT, omega
+    result, base = None, omega
     while n:
         if n & 1:
-            result = compose(result, base)
+            result = base if result is None else compose(result, base)
         n >>= 1
         if n:
             base = compose(base, base)
-    return result
+    return IDENTITY_AUT if result is None else result
 
 
 def rd(d: int) -> Automorphism:
@@ -222,18 +241,21 @@ def rd(d: int) -> Automorphism:
     '(2,2,1)'
     """
     _check_int(d, "d")
-    return Automorphism(Gl2Matrix(1, d, 0, 1), 0, 0)
+    # [[1,d],[0,1]] has det 1
+    return Automorphism._of(Gl2Matrix._of(1, d, 0, 1), 0, 0)
 
 
 def inner(v: InnerVector) -> Automorphism:
     """Conjugation by (p, q, 0): (a, b, c) -> (a, b, c + p*b - a*q).
 
-    As data: (I, -q, p), read off the images of x and y.
+    As data: (I, -q, p), read off the images of x and y; a valid
+    InnerVector has int coordinates, so this is an automorphism.
 
     >>> str(apply(inner(InnerVector(1, 0)), HeisElement(0, 1, 0)))
     '(0,1,1)'
     """
-    return Automorphism(gl2.IDENTITY, -v.q, v.p)
+    _expect(v, InnerVector, "v")
+    return Automorphism._of(gl2.IDENTITY, -v.q, v.p)
 
 
 def project(omega: Automorphism) -> Gl2Matrix:
@@ -271,9 +293,10 @@ def section(m: Gl2Matrix) -> Automorphism:
     >>> str(apply(section(gl2.B), HeisElement(1, 1, 0)))
     '(1,0,0)'
     """
+    _expect(m, Gl2Matrix, "m")
     d = m.det
-    return Automorphism(m, (m.m11 * m.m21 - m.m11 - m.m21 + d) // 2,
-                        (m.m12 * m.m22 - m.m12 - m.m22 + d) // 2)
+    return Automorphism._of(m, (m.m11 * m.m21 - m.m11 - m.m21 + d) // 2,
+                            (m.m12 * m.m22 - m.m12 - m.m22 + d) // 2)
 
 
 def normal_form(omega: Automorphism) -> tuple[InnerVector, Gl2Matrix]:
@@ -301,6 +324,7 @@ def normal_form(omega: Automorphism) -> tuple[InnerVector, Gl2Matrix]:
     >>> compose(inner(InnerVector(6, -8)), section(swap)) == Automorphism(swap, 5, 7)
     True
     """
+    _expect(omega, Automorphism, "omega")
     m = omega.matrix
     s = section(m)
     m11, m12, m21, m22 = m.m11, m.m12, m.m21, m.m22

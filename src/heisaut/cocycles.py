@@ -382,11 +382,14 @@ class SectionOnGenerators(_Value):
         """Product of the generator values' powers in order, over raw
         letters (no normalization, so kappa^2 stays a real check).  The
         generic word route, kept as the oracle for at() and section(); its
-        powers go through compose only, not through the closed forms."""
-        result = IDENTITY_AUT
+        powers go through compose only, not through the closed forms.  The
+        product starts from the first letter's power; no letters give
+        IDENTITY_AUT."""
+        result = None
         for sym, exp in pairs:
-            result = compose(result, _compose_power(self.value(sym), exp))
-        return result
+            factor = _compose_power(self.value(sym), exp)
+            result = factor if result is None else compose(result, factor)
+        return IDENTITY_AUT if result is None else result
 
     def __str__(self) -> str:
         return format_section(self)

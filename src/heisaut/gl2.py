@@ -28,7 +28,7 @@ import re
 from typing import Iterable, Sequence
 
 from ._backend import kernels
-from .heis import _INT, _check_int, _Value
+from .heis import _INT, _check_int, _expect, _Value
 
 
 class Gl2Matrix(_Value):
@@ -63,7 +63,8 @@ class Gl2Matrix(_Value):
     def __pow__(self, n: int) -> "Gl2Matrix":
         _check_int(n, "n")
         m = self if n >= 0 else mat_inverse(self)
-        return Gl2Matrix(*_affine_power(m.entries(), (0, 0), abs(n))[0])
+        # a power of a det +-1 matrix has det (+-1)^n
+        return Gl2Matrix._of(*_affine_power(m.entries(), (0, 0), abs(n))[0])
 
     def inverse(self) -> "Gl2Matrix":
         return mat_inverse(self)
@@ -89,7 +90,10 @@ def mat_multiply(m1: Gl2Matrix, m2: Gl2Matrix) -> Gl2Matrix:
     >>> mat_multiply(D, D) == IDENTITY
     True
     """
-    return Gl2Matrix(*kernels.mat_mul(*m1.entries(), *m2.entries()))
+    # det(m1*m2) = det m1 * det m2 = +-1
+    _expect(m1, Gl2Matrix, "m1")
+    _expect(m2, Gl2Matrix, "m2")
+    return Gl2Matrix._of(*kernels.mat_mul(*m1.entries(), *m2.entries()))
 
 
 def mat_inverse(m: Gl2Matrix) -> Gl2Matrix:
@@ -98,8 +102,10 @@ def mat_inverse(m: Gl2Matrix) -> Gl2Matrix:
     >>> str(mat_inverse(A))
     '[[1,-1],[0,1]]'
     """
+    # d times the adjugate; its det is d^2 * det m = d
+    _expect(m, Gl2Matrix, "m")
     d = m.det
-    return Gl2Matrix(d * m.m22, -d * m.m12, -d * m.m21, d * m.m11)
+    return Gl2Matrix._of(d * m.m22, -d * m.m12, -d * m.m21, d * m.m11)
 
 
 def _affine_power(
@@ -213,8 +219,9 @@ def eval_letters(pairs: Sequence[LetterPair]) -> Gl2Matrix:
     Each letter multiplies the running product on the right, which is a
     column operation on plain ints: rho^e adds e times column 1 to
     column 2, tau^e subtracts e times column 2 from column 1, and kappa^e
-    negates column 1 when e is odd.  One Gl2Matrix is built at the end.
-    A str, a symbol that is not a Letter, or an exponent that is not an
+    negates column 1 when e is odd.  Each step keeps det = +-1, so the
+    one Gl2Matrix built at the end skips the determinant check.  A str,
+    a symbol that is not a Letter, or an exponent that is not an
     int raises TypeError.
 
     >>> eval_letters(((Letter.RHO, 2), (Letter.TAU, 1))) == A ** 2 * B
@@ -234,7 +241,7 @@ def eval_letters(pairs: Sequence[LetterPair]) -> Gl2Matrix:
                 m11, m21 = -m11, -m21
         else:
             raise TypeError(f"word symbol must be a Letter, got {sym!r}")
-    return Gl2Matrix(m11, m12, m21, m22)
+    return Gl2Matrix._of(m11, m12, m21, m22)
 
 
 def eval_word(w: GeneratorWord) -> Gl2Matrix:
@@ -245,8 +252,7 @@ def eval_word(w: GeneratorWord) -> Gl2Matrix:
     >>> eval_word(parse_word("D D")) == IDENTITY
     True
     """
-    if not isinstance(w, GeneratorWord):
-        raise TypeError(f"w must be a GeneratorWord, got {type(w).__name__}")
+    _expect(w, GeneratorWord, "w")
     return eval_letters(w.letters)
 
 

@@ -29,14 +29,21 @@ count validations.  The base also adds what a frozen dataclass would:
 Name(field=value, ...), pickling and copying through the constructor
 (so an unpickled value is checked again), and AttributeError on
 assigning or deleting a field.
+
+A class with a __post_init__ also gets a private classmethod _of over
+the same fields, which sets them and skips the hook.  Only library code
+that builds a value from values already checked calls it, where a line
+of its docstring or a comment shows that the invariant holds by
+construction: a product, inverse or power of valid values is valid.
+Such a function first checks the type of each value argument with
+_expect, so a foreign argument raises TypeError naming the parameter
+instead of coming back inside a value no constructor would accept.
 """
 
 from __future__ import annotations
 
 import re
 from operator import attrgetter
-
-from ._backend import kernels
 
 
 def _check_int(value: object, name: str) -> None:
@@ -47,6 +54,14 @@ def _check_int(value: object, name: str) -> None:
         raise TypeError(f"{name} must be an int, got {type(value).__name__}")
 
 
+def _expect(value: object, cls: type, name: str) -> None:
+    # the boundary check of a function that builds its result with _of
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise TypeError(f"{name} must be {article} {cls.__name__}, "
+                        f"got {type(value).__name__}")
+
+
 class _Value:
     """Immutable value over the fields named in ``__match_args__``.
 
@@ -55,6 +70,12 @@ class _Value:
     dataclasses does: a generic ``*args`` constructor costs about twice
     as much per value, and value construction dominates verify.  A
     subclass that declares no fields keeps its parent's ``__init__``.
+
+    A class with a ``__post_init__`` also gets ``_of``, a classmethod
+    with the same parameters that builds the value without running the
+    hook.  It is for library functions whose result is valid by
+    construction and that have checked their arguments' types; public
+    constructors, ``parse_*`` and unpickling always validate.
     """
 
     __slots__ = ()
@@ -66,7 +87,7 @@ class _Value:
         # the fields in one C call: == is hot in verify
         cls._fields = attrgetter(*fields)
         if "__match_args__" in vars(cls) and "__init__" not in vars(cls):
-            cls.__init__ = _make_init(cls, fields)
+            _make_init(cls, fields)
 
     def __eq__(self, other: object):
         if other.__class__ is self.__class__:
@@ -92,18 +113,26 @@ class _Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _make_init(cls: type, fields: tuple[str, ...]):
-    body = [f"    _set(self, {name!r}, {name})" for name in fields]
-    if hasattr(cls, "__post_init__"):
-        body.append("    self.__post_init__()")
-    source = f"def __init__(self, {', '.join(fields)}):\n" + "\n".join(body)
-    # __name__ makes the function's __module__ the class's
-    namespace = {"_set": object.__setattr__, "__name__": cls.__module__}
+def _make_init(cls: type, fields: tuple[str, ...]) -> None:
+    params = ", ".join(fields)
+    sets = "".join(f"    _set(self, {name!r}, {name})\n" for name in fields)
+    source = f"def __init__(self, {params}):\n{sets}"
+    hooked = hasattr(cls, "__post_init__")
+    if hooked:
+        # both functions in one exec, which has a fixed cost per call
+        source += ("    self.__post_init__()\n"
+                   f"def _of(cls, {params}):\n    self = _new(cls)\n{sets}"
+                   "    return self\n")
+    # __name__ makes the functions' __module__ the class's
+    namespace = {"_set": object.__setattr__, "_new": object.__new__,
+                 "__name__": cls.__module__}
     exec(source, namespace)
-    init = namespace["__init__"]
-    # TypeError messages name the function by it: "HeisElement.__init__()"
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    return init
+    # TypeError messages name a function by it: "HeisElement.__init__()"
+    namespace["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = namespace["__init__"]
+    if hooked:
+        namespace["_of"].__qualname__ = f"{cls.__qualname__}._of"
+        cls._of = classmethod(namespace["_of"])
 
 
 class HeisElement(_Value):
@@ -172,7 +201,11 @@ def multiply(g1: HeisElement, g2: HeisElement) -> HeisElement:
     >>> str(multiply(X, Y))
     '(1,1,1)'
     """
-    return HeisElement(*kernels.heis_mul(g1.a, g1.b, g1.c, g2.a, g2.b, g2.c))
+    # the group law of the module docstring; any integer triple is valid
+    _expect(g1, HeisElement, "g1")
+    _expect(g2, HeisElement, "g2")
+    a1, b2 = g1.a, g2.b
+    return HeisElement._of(a1 + g2.a, g1.b + b2, g1.c + g2.c + a1 * b2)
 
 
 def inverse(g: HeisElement) -> HeisElement:
@@ -181,7 +214,9 @@ def inverse(g: HeisElement) -> HeisElement:
     >>> str(inverse(HeisElement(1, 1, 0)))
     '(-1,-1,1)'
     """
-    return HeisElement(*kernels.heis_inv(g.a, g.b, g.c))
+    _expect(g, HeisElement, "g")
+    a, b = g.a, g.b
+    return HeisElement._of(-a, -b, a * b - g.c)
 
 
 def power(g: HeisElement, n: int) -> HeisElement:
@@ -194,8 +229,10 @@ def power(g: HeisElement, n: int) -> HeisElement:
     >>> str(power(Y, -1))
     '(0,-1,0)'
     """
+    _expect(g, HeisElement, "g")
     _check_int(n, "n")
-    return HeisElement(*kernels.heis_pow(g.a, g.b, g.c, n))
+    a, b = g.a, g.b
+    return HeisElement._of(n * a, n * b, n * g.c + (n * (n - 1) // 2) * a * b)
 
 
 def commutator(g1: HeisElement, g2: HeisElement) -> HeisElement:

@@ -142,7 +142,8 @@ def run(
 # samplers
 
 def _rand_int(rng: random.Random, bound: int = ELEMENT_BOUND) -> int:
-    return rng.randint(-bound, bound)
+    # what randint(-bound, bound) does, without its extra call
+    return rng.randrange(-bound, bound + 1)
 
 
 def _rand_element(rng: random.Random, bound: int = ELEMENT_BOUND) -> heis.HeisElement:
@@ -171,7 +172,8 @@ def _rand_word(rng: random.Random, max_len: int = WORD_LENGTH) -> gl2.GeneratorW
 
 
 def _rand_matrix(rng: random.Random, max_len: int = WORD_LENGTH) -> gl2.Gl2Matrix:
-    return gl2.eval_word(_rand_word(rng, max_len))
+    # the draws of _rand_word, evaluated without normalizing them first
+    return gl2.eval_letters(_rand_pairs(rng, max_len))
 
 
 def _rand_aut(rng: random.Random, max_len: int = WORD_LENGTH) -> aut.Automorphism:

@@ -5,9 +5,10 @@ Plain ints take a fast path in each constructor; everything else goes
 through heis._check_int.  These tests pin the observable behaviour of
 both routes: the exception type, the field it names, and the messages.
 The contract tests pin what the classes share: the constructor's
-parameters, messages and validation hook, keyword construction, repr,
-== and hash within one class only, pickling and copying, frozen fields
-and no instance __dict__.
+parameters, messages and validation hook, the unchecked _of of the
+classes with a hook, keyword construction, repr, == and hash within one
+class only, pickling and copying, frozen fields and no instance
+__dict__.
 """
 
 import copy
@@ -19,7 +20,7 @@ import pytest
 
 from collections import namedtuple
 
-from heisaut import aut, cocycles, gl2, verify
+from heisaut import aut, cocycles, gl2, heis, verify
 from heisaut.aut import ZERO_VECTOR, Automorphism, InnerVector
 from heisaut.cocycles import (
     ZERO_COCYCLE,
@@ -307,6 +308,33 @@ def test_hook_runs_once_per_construction(cls, kwargs, monkeypatch):
     assert calls[0] is first and calls[1] is second
 
 
+def test_of_is_on_the_generated_classes_with_the_hook():
+    # GeneratorWord writes its own __init__, so no _of is generated for it
+    built = {cls for cls, _, _ in VALUES if "_of" in vars(cls)}
+    assert built == set(VALIDATING) - {GeneratorWord}
+    assert not any(hasattr(cls, "_of") for cls, _, _ in VALUES
+                   if cls not in built)
+    assert not hasattr(heis._Value, "_of")
+
+
+UNCHECKED = [(cls, kwargs) for cls, kwargs in HOOKED if cls is not GeneratorWord]
+
+
+@pytest.mark.parametrize("cls, kwargs", UNCHECKED,
+                         ids=[cls.__name__ for cls, _ in UNCHECKED])
+def test_of_skips_the_hook(cls, kwargs, monkeypatch):
+    assert tuple(inspect.signature(cls._of).parameters) == cls.__match_args__
+    assert cls._of.__qualname__ == f"{cls.__qualname__}._of"
+    expected = cls(**kwargs)
+    calls = []
+    monkeypatch.setattr(cls, "__post_init__", calls.append)
+    for value in (cls._of(**kwargs), cls._of(*kwargs.values())):
+        assert type(value) is cls
+        assert value == expected
+        assert repr(value) == repr(expected)
+    assert calls == []
+
+
 @contract
 def test_keyword_construction_and_repr(cls, kwargs, text):
     value = cls(**kwargs)
@@ -412,6 +440,37 @@ FOREIGN_ARGUMENTS = [
     pytest.param(cocycles.extend, (ZERO_COCYCLE, gl2.A),
                  "w must be a GeneratorWord, got Gl2Matrix",
                  id="extend-matrix"),
+    pytest.param(heis.multiply, (heis.X, 5), "g2 must be a HeisElement, got int",
+                 id="multiply-int"),
+    pytest.param(heis.multiply, ((1, 0, 0), heis.X),
+                 "g1 must be a HeisElement, got tuple", id="multiply-tuple"),
+    pytest.param(heis.inverse, ((1, 2, 3),), "g must be a HeisElement, got tuple",
+                 id="inverse-tuple"),
+    pytest.param(heis.power, (AbPair(1, 2), 3),
+                 "g must be a HeisElement, got AbPair", id="power-AbPair"),
+    pytest.param(gl2.mat_multiply, (gl2.A, 5), "m2 must be a Gl2Matrix, got int",
+                 id="mat_multiply-int"),
+    pytest.param(gl2.mat_multiply, ((1, 0, 0, 1), gl2.A),
+                 "m1 must be a Gl2Matrix, got tuple", id="mat_multiply-tuple"),
+    pytest.param(gl2.mat_inverse, ((1, 0, 0, 1),),
+                 "m must be a Gl2Matrix, got tuple", id="mat_inverse-tuple"),
+    pytest.param(aut.compose, (aut.rd(1), 5),
+                 "omega1 must be an Automorphism, got int", id="compose-int"),
+    pytest.param(aut.compose, (gl2.A, aut.rd(1)),
+                 "omega2 must be an Automorphism, got Gl2Matrix",
+                 id="compose-matrix"),
+    pytest.param(aut.invert, (gl2.A,),
+                 "omega must be an Automorphism, got Gl2Matrix", id="invert-matrix"),
+    pytest.param(aut.power, (gl2.A, 2),
+                 "omega must be an Automorphism, got Gl2Matrix", id="power-matrix"),
+    pytest.param(aut.normal_form, (5,), "omega must be an Automorphism, got int",
+                 id="normal_form-int"),
+    pytest.param(aut.inner, ((1, 2),), "v must be an InnerVector, got tuple",
+                 id="inner-tuple"),
+    pytest.param(aut.inner, (P(1.5, 2),), "v must be an InnerVector, got P",
+                 id="inner-duck"),
+    pytest.param(aut.section, ((1, 0, 0, 1),), "m must be a Gl2Matrix, got tuple",
+                 id="section-tuple"),
 ]
 
 
@@ -431,10 +490,19 @@ def test_argument_subclass_accepted():
     class W(GeneratorWord):
         pass
 
+    class O(Automorphism):
+        pass
+
+    class M(Gl2Matrix):
+        pass
+
     omega = aut.rd(1)
     assert omega(H(0, 1, 0)) == omega(HeisElement(0, 1, 0))
     assert aut.act(gl2.A, V(1, 2)) == InnerVector(3, 2)
     assert gl2.eval_word(W(((Letter.RHO, 1),))) == gl2.A
+    assert aut.compose(O(gl2.A, 1, 2), omega) == aut.compose(
+        Automorphism(gl2.A, 1, 2), omega)
+    assert aut.section(M(1, 1, 0, 1)) == Automorphism(M(1, 1, 0, 1), 0, 0)
 
 
 def test_operand_subclass_accepted():
