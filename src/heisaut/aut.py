@@ -355,6 +355,7 @@ def parse_pair(text: str) -> InnerVector:
     >>> parse_pair("(3, -2)")
     InnerVector(p=3, q=-2)
     """
+    _expect(text, str, "text")
     m = _PAIR_RE.fullmatch(text.strip())
     if m is None:
         raise ValueError(f"not a pair '(p,q)': {text!r}")
@@ -373,6 +374,7 @@ def parse_automorphism(text: str) -> Automorphism:
     >>> parse_automorphism("{M=[[1,0],[0,1]], r=3, u=-2}").r
     3
     """
+    _expect(text, str, "text")
     m = _AUT_RE.fullmatch(text.strip())
     if m is None:
         raise ValueError(f"not an automorphism '{{M=[[..]], r=.., u=..}}': {text!r}")

@@ -47,8 +47,9 @@ from .aut import (
     parse_automorphism,
     section,
 )
-from .gl2 import GeneratorWord, Gl2Matrix, Letter, LetterPair, _affine_power
-from .heis import _Value
+from .gl2 import (
+    _KAPPA, _RHO, _TAU, GeneratorWord, Gl2Matrix, Letter, LetterPair, _affine_power)
+from .heis import _expect, _Value
 from .zlattice import Vector, in_lattice, kernel_basis, lattices_equal
 
 
@@ -106,7 +107,7 @@ def _extend_values(
 ) -> InnerVector:
     # phi(g l^e) = phi(g) + g.phi(l^e), folded left to right over raw
     # letters (no normalization, so relator checks stay meaningful)
-    values = {Letter.RHO: v_rho, Letter.TAU: v_tau, Letter.KAPPA: v_kappa}
+    values = {_RHO: v_rho, _TAU: v_tau, _KAPPA: v_kappa}
     total = ZERO_VECTOR
     prefix = gl2.IDENTITY
     for sym, exp in pairs:
@@ -149,11 +150,11 @@ def _first_violation(
 
 
 def _by_letter(sym: Letter, on_rho, on_tau, on_kappa):
-    if sym is Letter.RHO:
+    if sym is _RHO:
         return on_rho
-    if sym is Letter.TAU:
+    if sym is _TAU:
         return on_tau
-    if sym is Letter.KAPPA:
+    if sym is _KAPPA:
         return on_kappa
     raise TypeError(f"word symbol must be a Letter, got {sym!r}")
 
@@ -285,6 +286,7 @@ def solve_coboundary(phi: Cocycle) -> InnerVector:
     >>> solve_coboundary(coboundary(InnerVector(3, -2)))
     InnerVector(p=3, q=-2)
     """
+    _expect(phi, Cocycle, "phi")
     return InnerVector(-phi.v_tau.q, phi.v_rho.p)
 
 
@@ -469,6 +471,7 @@ def parse_cocycle(text: str) -> Cocycle:
     >>> parse_cocycle("{rho=(0,0), tau=(0,0), kappa=(0,0)}") == ZERO_COCYCLE
     True
     """
+    _expect(text, str, "text")
     m = _COCYCLE_RE.fullmatch(text.strip())
     if m is None:
         raise ValueError(
@@ -493,6 +496,7 @@ _SECTION_RE = re.compile(
 
 def parse_section(text: str) -> SectionOnGenerators:
     """Parse "{rho={M=..,r=..,u=..}, tau={..}, kappa={..}}"."""
+    _expect(text, str, "text")
     m = _SECTION_RE.fullmatch(text.strip())
     if m is None:
         raise ValueError(

@@ -140,6 +140,11 @@ class Letter(enum.Enum):
     KAPPA = "D"
 
 
+# The members as plain globals for the per-letter loops: on Python 3.10
+# and 3.11 a Letter.RHO read goes through the enum metaclass's
+# __getattr__ and costs about five global reads.
+_RHO, _TAU, _KAPPA = Letter.RHO, Letter.TAU, Letter.KAPPA
+
 # Each letter's matrix, in the order rho, tau, kappa that value triples
 # and samplers follow.
 GENERATORS = {Letter.RHO: A, Letter.TAU: B, Letter.KAPPA: D}
@@ -162,13 +167,13 @@ def _normalize(letters: Iterable[LetterPair]) -> tuple[LetterPair, ...]:
             raise TypeError(f"word symbol must be a Letter, got {sym!r}")
         if type(exp) is not int:
             _check_int(exp, "exponent")
-        if sym is Letter.KAPPA:
+        if sym is _KAPPA:
             exp %= 2
         if exp == 0:
             continue
         if stack and stack[-1][0] is sym:
             merged = stack[-1][1] + exp
-            if sym is Letter.KAPPA:
+            if sym is _KAPPA:
                 merged %= 2
             stack.pop()
             if merged != 0:
@@ -232,11 +237,11 @@ def eval_letters(pairs: Sequence[LetterPair]) -> Gl2Matrix:
     for sym, exp in pairs:
         if type(exp) is not int:
             _check_int(exp, "exponent")
-        if sym is Letter.RHO:
+        if sym is _RHO:
             m12, m22 = m12 + exp * m11, m22 + exp * m21
-        elif sym is Letter.TAU:
+        elif sym is _TAU:
             m11, m21 = m11 - exp * m12, m21 - exp * m22
-        elif sym is Letter.KAPPA:
+        elif sym is _KAPPA:
             if exp % 2:
                 m11, m21 = -m11, -m21
         else:
@@ -303,15 +308,15 @@ def check_presentation_relations() -> tuple[RelatorCheck, ...]:
 def _residual_upper(diag: int, off: int) -> list[LetterPair]:
     # [[1,m],[0,1]] = rho^m; [[-1,m],[0,-1]] = (rho tau rho)^2 rho^-m
     if diag == 1:
-        return [(Letter.RHO, off)]
-    return [*_RHO_TAU_RHO * 2, (Letter.RHO, -off)]
+        return [(_RHO, off)]
+    return [*_RHO_TAU_RHO * 2, (_RHO, -off)]
 
 
 def _residual_lower(diag: int, off: int) -> list[LetterPair]:
     # [[1,0],[m,1]] = tau^-m; [[-1,0],[m,-1]] = (rho tau rho)^2 tau^m
     if diag == 1:
-        return [(Letter.TAU, -off)]
-    return [*_RHO_TAU_RHO * 2, (Letter.TAU, off)]
+        return [(_TAU, -off)]
+    return [*_RHO_TAU_RHO * 2, (_TAU, off)]
 
 
 def _decompose_left(m: Gl2Matrix) -> list[LetterPair]:
@@ -322,24 +327,24 @@ def _decompose_left(m: Gl2Matrix) -> list[LetterPair]:
     m11, m12, m21, m22 = m.entries()
     if m.det == -1:
         # M = D * (D*M); emit kappa and reduce the det +1 remainder
-        out.append((Letter.KAPPA, 1))
+        out.append((_KAPPA, 1))
         m11, m12 = -m11, -m12
     prefix: list[LetterPair] = []
     while m21 != 0:
         if m11 == 0:
             # det forces m21 = +-1; one row addition makes the corner +-1
             m11, m12 = m11 + m21, m12 + m22  # left A
-            prefix.append((Letter.RHO, -1))
+            prefix.append((_RHO, -1))
             continue
         q = m21 // m11
         if q != 0:
             m21, m22 = m21 - q * m11, m22 - q * m12  # left B^q
-            prefix.append((Letter.TAU, -q))
+            prefix.append((_TAU, -q))
         if m21 == 0:
             break
         q = m11 // m21
         m11, m12 = m11 - q * m21, m12 - q * m22  # left A^-q
-        prefix.append((Letter.RHO, q))
+        prefix.append((_RHO, q))
     return out + prefix + _residual_upper(m11, m12)
 
 
@@ -351,24 +356,24 @@ def _decompose_right(m: Gl2Matrix) -> list[LetterPair]:
     m11, m12, m21, m22 = m.entries()
     if m.det == -1:
         # M = (M*D) * D; reduce the det +1 part, then append kappa
-        tail.append((Letter.KAPPA, 1))
+        tail.append((_KAPPA, 1))
         m11, m21 = -m11, -m21
     factors: list[LetterPair] = []
     while m12 != 0:
         if m11 == 0:
             # det forces m12 = +-1; one column addition makes the corner +-1
             m11, m21 = m11 + m12, m21 + m22  # right B^-1
-            factors.append((Letter.TAU, -1))
+            factors.append((_TAU, -1))
             continue
         q = m12 // m11
         if q != 0:
             m12, m22 = m12 - q * m11, m22 - q * m21  # right A^-q
-            factors.append((Letter.RHO, -q))
+            factors.append((_RHO, -q))
         if m12 == 0:
             break
         q = m11 // m12
         m11, m21 = m11 - q * m12, m21 - q * m22  # right B^q
-        factors.append((Letter.TAU, q))
+        factors.append((_TAU, q))
     inverted = [(sym, -exp) for sym, exp in reversed(factors)]
     return _residual_lower(m11, m21) + inverted + tail
 
@@ -386,6 +391,7 @@ def decompose(m: Gl2Matrix, strategy: str = "left") -> GeneratorWord:
     >>> eval_word(decompose(Gl2Matrix(0, 1, -1, 0))) == Gl2Matrix(0, 1, -1, 0)
     True
     """
+    _expect(m, Gl2Matrix, "m")
     if strategy == "left":
         return GeneratorWord(tuple(_decompose_left(m)))
     if strategy == "right":
@@ -405,6 +411,7 @@ def parse_matrix(text: str) -> Gl2Matrix:
     >>> parse_matrix("[[1, 1], [0, 1]]") == A
     True
     """
+    _expect(text, str, "text")
     m = _MATRIX_RE.fullmatch(text.strip())
     if m is None:
         raise ValueError(f"not a matrix '[[a,b],[c,d]]': {text!r}")
@@ -418,6 +425,7 @@ def format_matrix(m: Gl2Matrix) -> str:
 _TOKEN_RE = re.compile(rf"([ABD])(?:\^{_INT})?")
 
 _CHAR_TO_LETTER = {letter.value: letter for letter in Letter}
+_LETTER_TO_CHAR = {letter: char for char, letter in _CHAR_TO_LETTER.items()}
 
 
 def parse_word(text: str) -> GeneratorWord:
@@ -426,6 +434,7 @@ def parse_word(text: str) -> GeneratorWord:
     >>> str(parse_word("A B  A^0 D^2"))
     'A B'
     """
+    _expect(text, str, "text")
     pairs: list[LetterPair] = []
     for token in text.split():
         m = _TOKEN_RE.fullmatch(token)
@@ -439,7 +448,8 @@ def parse_word(text: str) -> GeneratorWord:
 
 def format_word(w: GeneratorWord) -> str:
     """Inverse of parse_word on normalized words; empty word prints ''."""
+    _expect(w, GeneratorWord, "w")
     return " ".join(
-        sym.value if exp == 1 else f"{sym.value}^{exp}"
+        _LETTER_TO_CHAR[sym] if exp == 1 else f"{_LETTER_TO_CHAR[sym]}^{exp}"
         for sym, exp in w.letters
     )

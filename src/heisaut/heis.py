@@ -279,6 +279,7 @@ def parse_element(text: str) -> HeisElement:
     >>> parse_element(" ( 1, -2,3 ) ") == HeisElement(1, -2, 3)
     True
     """
+    _expect(text, str, "text")
     m = _ELEMENT_RE.fullmatch(text.strip())
     if m is None:
         raise ValueError(f"not an element triple '(a,b,c)': {text!r}")

@@ -5,15 +5,20 @@ is deterministic: sample i of suite s under seed k uses its own
 random.Random(f"{k}:{s}:{i}"), so a report is reproducible from (seed,
 suite, samples) alone and independent samples could be sharded across
 workers without changing the outcome (the current runner is
-sequential; merging is by sample index).
+sequential; merging is by sample index).  The samplers take their
+draws straight from getrandbits, exactly as randint() and choice()
+made them, so a report depends only on the seed and the Mersenne
+Twister stream, not on random.py's helper code.
 
 Sampling ranges: element coordinates and center offsets are uniform in
 [-10^9, 10^9]; matrices are built as random generator words of length
 at most 20 (guaranteeing determinant +-1); shear parameters d are
 uniform in [-10^6, 10^6].  Failures carry the sampled inputs plus the
-expected and actual values; at most three failures are recorded per
-suite before it stops early.  run() checks every suite name, the
-sample count and the seed before it runs any suite.
+expected and actual values; a sample that raises an exception is a
+failure that names the exception and the sample's RNG key.  At most
+three failures are recorded per suite before it stops early.  run()
+checks every suite name, the sample count and the seed before it runs
+any suite.
 
 Where the library uses a closed form, the suites check it against the
 generic route it replaced: word folds for section() and extend(), the
@@ -30,6 +35,7 @@ from operator import mul
 from typing import Callable, Iterable, Optional
 
 from . import aut, cocycles, gl2, heis
+from .gl2 import _KAPPA
 
 MAX_RECORDED_FAILURES = 3
 
@@ -113,17 +119,31 @@ def run_suite(name: str, samples: int, seed: int) -> SuiteResult:
     ran = 0
     if suite.static:
         ran = 1
-        failures = [Failure(0, *f) for f in suite.fn()]
+        try:
+            failures = [Failure(0, *f) for f in suite.fn()]
+        except Exception as exc:
+            failures = [Failure(0, "static suite", *_raised(exc))]
     else:
         for i in range(samples):
             ran += 1
-            outcome = suite.fn(random.Random(f"{seed}:{name}:{i}"))
+            key = f"{seed}:{name}:{i}"
+            try:
+                outcome = suite.fn(random.Random(key))
+            except Exception as exc:
+                outcome = (f"rng key {key}", *_raised(exc))
             if outcome is not None:
                 failures.append(Failure(i, *outcome))
                 if len(failures) >= MAX_RECORDED_FAILURES:
                     break
     elapsed = time.perf_counter() - start
     return SuiteResult(name, ran, seed, elapsed, tuple(failures[:MAX_RECORDED_FAILURES]))
+
+
+def _raised(exc: Exception) -> tuple[str, str]:
+    # (expected, actual) of a sample that raised instead of returning: a
+    # library defect may show as an exception, and then it is a FAIL of
+    # that sample, not the end of the run; KeyboardInterrupt still ends it
+    return "no exception", f"{type(exc).__name__}: {exc}"
 
 
 def run(
@@ -142,8 +162,14 @@ def run(
 # samplers
 
 def _rand_int(rng: random.Random, bound: int = ELEMENT_BOUND) -> int:
-    # what randint(-bound, bound) does, without its extra call
-    return rng.randrange(-bound, bound + 1)
+    # randint(-bound, bound), drawn as Random._randbelow draws it: k bits
+    # from getrandbits, again while out of range
+    n = 2 * bound + 1
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r - bound
 
 
 def _rand_element(rng: random.Random, bound: int = ELEMENT_BOUND) -> heis.HeisElement:
@@ -158,12 +184,29 @@ _LETTERS = tuple(gl2.GENERATORS)
 def _rand_pairs(
     rng: random.Random, max_len: int = WORD_LENGTH, max_exp: int = WORD_EXPONENT
 ) -> list[gl2.LetterPair]:
-    length = rng.randint(0, max_len)
+    # the draws of randint(0, max_len), then per letter choice(_LETTERS),
+    # choice((1, -1)) and randint(1, max_exp), each made inline as in
+    # _rand_int (a choice of 3 or of 2 takes 2 bits); a helper call per
+    # draw would cost most of the gain
+    getrandbits = rng.getrandbits
+    n = max_len + 1
+    k = n.bit_length()
+    length = getrandbits(k)
+    while length >= n:
+        length = getrandbits(k)
+    k = max_exp.bit_length()
     pairs = []
     for _ in range(length):
-        sym = rng.choice(_LETTERS)
-        exp = rng.choice((1, -1)) * rng.randint(1, max_exp)
-        pairs.append((sym, exp))
+        sym = getrandbits(2)
+        while sym >= 3:
+            sym = getrandbits(2)
+        sign = getrandbits(2)
+        while sign >= 2:
+            sign = getrandbits(2)
+        exp = getrandbits(k)
+        while exp >= max_exp:
+            exp = getrandbits(k)
+        pairs.append((_LETTERS[sym], -1 - exp if sign else 1 + exp))
     return pairs
 
 
@@ -212,7 +255,7 @@ def _group_axioms(rng: random.Random) -> Outcome:
 @_sampled("power-oracle")
 def _power_oracle(rng: random.Random) -> Outcome:
     g = _rand_element(rng)
-    n = rng.randint(-50, 50)
+    n = _rand_int(rng, 50)
     base = g if n >= 0 else heis.inverse(g)
     acc = heis.IDENTITY
     for _ in range(abs(n)):
@@ -300,7 +343,7 @@ def _word_roundtrip(rng: random.Random) -> Outcome:
 def _word_det(rng: random.Random) -> Outcome:
     pairs = _rand_pairs(rng)
     m = gl2.eval_letters(pairs)
-    kappa_exp = sum(exp for sym, exp in pairs if sym is gl2.Letter.KAPPA)
+    kappa_exp = sum(exp for sym, exp in pairs if sym is _KAPPA)
     expected = -1 if kappa_exp % 2 else 1
     if m.det != expected:
         word = gl2.format_word(gl2.GeneratorWord(tuple(pairs)))
@@ -328,7 +371,7 @@ def _word_normalize(rng: random.Random) -> Outcome:
     for i, (sym, exp) in enumerate(w.letters):
         bad = (
             exp == 0
-            or (sym is gl2.Letter.KAPPA and exp != 1)
+            or (sym is _KAPPA and exp != 1)
             or (i > 0 and w.letters[i - 1][0] is sym)
         )
         if bad:
@@ -540,7 +583,7 @@ def _normal_form(rng: random.Random) -> Outcome:
     if rebuilt != omega2:
         return _mismatch(f"rebuild omega={omega2}", omega2, rebuilt)
     # power's closed form inner(S_n v) o section(M^n) against compose
-    n = rng.randint(-50, 50)
+    n = _rand_int(rng, 50)
     got, expected = aut.power(omega2, n), aut._compose_power(omega2, n)
     if got != expected:
         return _mismatch(f"power omega={omega2} n={n}", expected, got)
@@ -703,15 +746,15 @@ def _section_twist(rng: random.Random) -> Outcome:
         return _mismatch("diff(sigma, sigma)", cocycles.ZERO_COCYCLE,
                          cocycles.section_difference(sigma0, sigma0))
     m = _rand_matrix(rng, max_len=8)
-    if aut.project(twisted.at(m)) != m:
-        return _mismatch(f"twisted section over M={m}", m,
-                         aut.project(twisted.at(m)))
+    at_m = twisted.at(m)
+    if aut.project(at_m) != m:
+        return _mismatch(f"twisted section over M={m}", m, aut.project(at_m))
     # the closed form of at() against the generic fold over a word, and
     # the relators at the automorphism level through the same fold
     w = gl2.decompose(m, "right")
     folded = twisted.eval_letters(w.letters)
-    if twisted.at(m) != folded:
-        return _mismatch(f"twisted at a={a} M={m} word={w}", folded, twisted.at(m))
+    if at_m != folded:
+        return _mismatch(f"twisted at a={a} M={m} word={w}", folded, at_m)
     for name, pairs in gl2.RELATORS:
         product = twisted.eval_letters(pairs)
         if product != aut.IDENTITY_AUT:

@@ -1,8 +1,11 @@
+import dis
+import types
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from heisaut import gl2
+from heisaut import cocycles, gl2, verify
 from heisaut.gl2 import (
     A,
     B,
@@ -261,3 +264,25 @@ def test_decomposition_word_only_uses_presentation_letters(m):
     for sym, exp in decompose(m).letters:
         assert sym in (Letter.RHO, Letter.TAU, Letter.KAPPA)
         assert exp != 0
+
+
+def _attribute_loads(code):
+    # the attribute names a function loads, its nested code included
+    for ins in dis.get_instructions(code):
+        if ins.opname in ("LOAD_ATTR", "LOAD_METHOD"):
+            yield ins.argval
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from _attribute_loads(const)
+
+
+@pytest.mark.parametrize("fn", [
+    gl2.eval_letters, gl2._normalize, gl2._decompose_left, gl2._decompose_right,
+    gl2.format_word, cocycles._by_letter, verify._rand_pairs,
+], ids=lambda fn: fn.__qualname__)
+def test_hot_loops_read_no_enum_attribute(fn):
+    # on Python 3.10 and 3.11 each Letter.X read goes through the enum
+    # metaclass, which made these loops 1.3-2x slower; they use the
+    # module constants _RHO, _TAU and _KAPPA instead
+    loads = set(_attribute_loads(fn.__code__))
+    assert not loads & {"RHO", "TAU", "KAPPA", "value"}

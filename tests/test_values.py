@@ -471,6 +471,19 @@ FOREIGN_ARGUMENTS = [
                  id="inner-duck"),
     pytest.param(aut.section, ((1, 0, 0, 1),), "m must be a Gl2Matrix, got tuple",
                  id="section-tuple"),
+    pytest.param(gl2.decompose, ((1, 0, 0, 1),), "m must be a Gl2Matrix, got tuple",
+                 id="decompose-tuple"),
+    pytest.param(gl2.format_word, ("A B",), "w must be a GeneratorWord, got str",
+                 id="format_word-str"),
+    pytest.param(cocycles.extend, ((0, 0), EMPTY_WORD),
+                 "phi must be a Cocycle, got tuple", id="extend-tuple"),
+    pytest.param(cocycles.solve_coboundary, ((0, 0),),
+                 "phi must be a Cocycle, got tuple", id="solve_coboundary-tuple"),
+    *(pytest.param(parse, (5,), "text must be a str, got int",
+                   id=f"{parse.__name__}-int")
+      for parse in (heis.parse_element, gl2.parse_matrix, gl2.parse_word,
+                    aut.parse_pair, aut.parse_automorphism,
+                    cocycles.parse_cocycle, cocycles.parse_section)),
 ]
 
 

@@ -1,11 +1,12 @@
-"""The verify runner's argument checks, and its samplers' random stream."""
+"""The verify runner's argument checks, its report of a sample that
+raises, and its samplers' random stream."""
 
 import hashlib
 import random
 
 import pytest
 
-from heisaut import verify
+from heisaut import aut, cli, cocycles, verify
 
 
 @pytest.fixture
@@ -16,6 +17,23 @@ def counted(monkeypatch):
 
     def sample(rng):
         calls.append(rng)
+        return suite.fn(rng)
+
+    monkeypatch.setitem(verify._SUITES, "group-axioms",
+                        verify._Suite("group-axioms", sample, static=False))
+    return calls
+
+
+@pytest.fixture
+def raising(monkeypatch):
+    # group-axioms, with sample 1 raising as a library defect would
+    calls = []
+    suite = verify._SUITES["group-axioms"]
+
+    def sample(rng):
+        calls.append(rng)
+        if len(calls) == 2:
+            raise cocycles.RelatorViolation("kappa^2 = 1", aut.InnerVector(0, 1))
         return suite.fn(rng)
 
     monkeypatch.setitem(verify._SUITES, "group-axioms",
@@ -76,6 +94,37 @@ def test_names_must_not_be_a_str(counted):
     assert counted == []
 
 
+def test_raising_sample_is_a_failure(raising):
+    report = verify.run(["group-axioms"], samples=4, seed=3)
+    assert not report.ok
+    assert len(raising) == 4  # the samples after it still ran
+    (failure,) = report.results[0].failures
+    assert failure == verify.Failure(
+        1, "rng key 3:group-axioms:1", "no exception",
+        "RelatorViolation: relator 'kappa^2 = 1' violated: "
+        "extension gives (0,1), not (0,0)")
+
+
+def test_raising_sample_exits_2(raising, capsys):
+    code = cli.main(["verify", "group-axioms", "--samples", "3"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out.startswith("FAIL group-axioms: samples=3 seed=0 ")
+    assert "  sample 1: rng key 0:group-axioms:1\n" in out
+    assert "    actual:   RelatorViolation: relator 'kappa^2 = 1'" in out
+
+
+def test_raising_static_suite_is_a_failure(monkeypatch):
+    def suite():
+        raise ValueError("boom")
+
+    monkeypatch.setitem(verify._SUITES, "relations",
+                        verify._Suite("relations", suite, static=True))
+    (result,) = verify.run(["relations"], samples=5).results
+    assert (result.samples, result.failures) == (
+        1, (verify.Failure(0, "static suite", "no exception", "ValueError: boom"),))
+
+
 # sha256 of the samplers' output below, as the code gave it when the
 # samplers last changed; a report is only reproducible from (seed,
 # suite, samples) while the samplers draw and build exactly this
@@ -91,3 +140,35 @@ def test_sampler_stream_is_pinned():
                       verify._rand_word(rng), verify._rand_int(rng, verify.D_BOUND)):
             digest.update(f"{value}\n".encode())
     assert digest.hexdigest() == SAMPLER_DIGEST
+
+
+def _reference_pairs(rng, max_len):
+    # the samplers as they drew through random's helpers
+    length = rng.randint(0, max_len)
+    pairs = []
+    for _ in range(length):
+        sym = rng.choice(verify._LETTERS)
+        exp = rng.choice((1, -1)) * rng.randint(1, verify.WORD_EXPONENT)
+        pairs.append((sym, exp))
+    return pairs
+
+
+def _same_draws(sample, reference, seeds=2000):
+    # equal values, and the generator left in the same state after them
+    for i in range(seeds):
+        ours, theirs = random.Random(f"draws:{i}"), random.Random(f"draws:{i}")
+        assert sample(ours) == reference(theirs), i
+        assert ours.getstate() == theirs.getstate(), i
+
+
+@pytest.mark.parametrize("max_len", [6, 8, 10, 20])
+def test_rand_pairs_draws_what_random_drew(max_len):
+    _same_draws(lambda rng: verify._rand_pairs(rng, max_len),
+                lambda rng: _reference_pairs(rng, max_len))
+
+
+@pytest.mark.parametrize("bound", [1, 30, 50, 10**6, 10**9])
+def test_rand_int_draws_what_randint_drew(bound):
+    # 50 is the exponent draw of power-oracle and normal-form
+    _same_draws(lambda rng: verify._rand_int(rng, bound),
+                lambda rng: rng.randint(-bound, bound))
