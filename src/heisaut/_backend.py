@@ -1,7 +1,8 @@
 """The arithmetic kernels used by gl2 and aut.
 
 ``heisaut._kernels`` is the only backend: it holds the plain-int
-formulas that have more than one caller.  This module stays as the one
+formulas that have more than one caller, which is now only the matrix
+product ``mat_mul``.  This module stays as the one
 place the value modules import them from, because perfbench's tracer
 reads the kernel layer as ``heisaut._backend.kernels``; it goes once
 the tracer reads that layer elsewhere.  ``backend_name()`` and the

@@ -26,6 +26,17 @@ section(M) by (p*m21 - q*m11, p*m22 - q*m12), a linear system in
 v = (p, q) with determinant det M = +-1, so v is one 2x2 unimodular
 solve (the proof is in normal_form's docstring).  power() works through
 that factorization instead of composing bit by bit.
+
+apply(), compose() and invert() share one formula for a center offset,
+the c-coordinate omega gives (a, b, 0).  They evaluate it in a product
+form, proved in apply's docstring: with (P, Q) = M (a, b), twice the
+offset is
+
+    a*(2r - m11*m21) + b*(2u - m12*m22) + P*Q - det*a*b.
+
+apply and compose compute P and Q anyway, as coordinates of the image
+or entries of the matrix product.  compose uses the two bracketed
+factors for both columns, and in invert P*Q = 0.
 """
 
 from __future__ import annotations
@@ -111,11 +122,20 @@ def act(m: Gl2Matrix, v: InnerVector) -> InnerVector:
 def apply(omega: Automorphism, g: HeisElement) -> HeisElement:
     """omega(g), computed by the closed form
 
-        (a*m11 + b*m12, a*m21 + b*m22,
-         det*c + a*r + b*u + C(a,2)*m11*m21 + C(b,2)*m12*m22 + a*b*m12*m21)
+        (P, Q, det*c + t),  (P, Q) = M (a, b),
+        t = a*r + b*u + C(a,2)*m11*m21 + C(b,2)*m12*m22 + a*b*m12*m21,
 
     which is the expansion of omega(z)^c * omega(y)^b * omega(x)^a;
-    every integer triple is an element.
+    every integer triple is an element.  The offset t is evaluated in
+    the product form
+
+        2t = a*(2r - m11*m21) + b*(2u - m12*m22) + P*Q - det*a*b.
+
+    Proof.  P*Q = a^2*m11*m21 + a*b*(m11*m22 + m12*m21) + b^2*m12*m22,
+    and m11*m22 + m12*m21 = det + 2*m12*m21.  So P*Q - det*a*b -
+    a*m11*m21 - b*m12*m22 = (a^2 - a)*m11*m21 + (b^2 - b)*m12*m22 +
+    2*a*b*m12*m21, which is 2t - 2*(a*r + b*u); adding 2*(a*r + b*u)
+    gives the product form.
 
     >>> str(apply(section(gl2.A), HeisElement(1, -1, 0)))
     '(0,-1,1)'
@@ -127,19 +147,24 @@ def apply(omega: Automorphism, g: HeisElement) -> HeisElement:
     m = omega.matrix
     m11, m12, m21, m22 = m.m11, m.m12, m.m21, m.m22
     a, b = g.a, g.b
-    return HeisElement._of(
-        a * m11 + b * m12, a * m21 + b * m22,
-        (m11 * m22 - m12 * m21) * g.c
-        + kernels.aut_offset(m11, m12, m21, m22, omega.r, omega.u, a, b))
+    p, q = a * m11 + b * m12, a * m21 + b * m22
+    d = m11 * m22 - m12 * m21
+    return HeisElement._of(p, q, d * g.c + (
+        a * (2 * omega.r - m11 * m21) + b * (2 * omega.u - m12 * m22)
+        + p * q - d * a * b) // 2)
 
 
 def compose(omega2: Automorphism, omega1: Automorphism) -> Automorphism:
-    """The automorphism g -> omega2(omega1(g)); matrix part is M2*M1.
+    """The automorphism g -> omega2(omega1(g)); matrix part is N*M for
+    N = M2 and M = M1.
 
     Its offsets are omega2 applied to omega1's generator images: the
-    c-coordinate of omega2((m11, m21, r1)) is det M2 * r1 plus the
-    offset omega2 gives (m11, m21, 0), and likewise for y.  M2*M1 has
-    det +-1, and any integer offsets make an automorphism.
+    c-coordinate of omega2((m11, m21, r1)) is det N * r1 plus the
+    offset t that apply() gives for (a, b) = (m11, m21), and likewise
+    for y with (m12, m22).  In t's product form, (P, Q) = N (a, b) is
+    the matching column of N*M, and the factors 2*r2 - n11*n21 and
+    2*u2 - n12*n22 are the same for both columns.  N*M has det +-1, and
+    any integer offsets make an automorphism.
 
     >>> compose(IDENTITY_AUT, rd(7)) == rd(7)
     True
@@ -149,33 +174,39 @@ def compose(omega2: Automorphism, omega1: Automorphism) -> Automorphism:
     n, m = omega2.matrix, omega1.matrix
     n11, n12, n21, n22 = n.m11, n.m12, n.m21, n.m22
     m11, m12, m21, m22 = m.m11, m.m12, m.m21, m.m22
-    r2, u2 = omega2.r, omega2.u
+    p11, p12, p21, p22 = kernels.mat_mul(n11, n12, n21, n22, m11, m12, m21, m22)
     d = n11 * n22 - n12 * n21
+    x, y = 2 * omega2.r - n11 * n21, 2 * omega2.u - n12 * n22
     return Automorphism._of(
-        Gl2Matrix._of(*kernels.mat_mul(n11, n12, n21, n22, m11, m12, m21, m22)),
-        d * omega1.r + kernels.aut_offset(n11, n12, n21, n22, r2, u2, m11, m21),
-        d * omega1.u + kernels.aut_offset(n11, n12, n21, n22, r2, u2, m12, m22))
+        Gl2Matrix._of(p11, p12, p21, p22),
+        d * omega1.r + (m11 * x + m21 * y + p11 * p21 - d * m11 * m21) // 2,
+        d * omega1.u + (m12 * x + m22 * y + p12 * p22 - d * m12 * m22) // 2)
 
 
 def invert(omega: Automorphism) -> Automorphism:
-    """omega^-1.  The matrix part is M^-1; each center offset is pinned
-    by one linear equation with unit coefficient det(M), e.g. the
-    offset r' of omega^-1 must satisfy omega((n11, n21, r')) = x where
-    (n11, n21) is the first column of M^-1, and r' enters that
-    c-coordinate as det * r'.  So r' = -det * t, where t is the offset
-    omega gives (n11, n21, 0); integer offsets make an automorphism.
+    """omega^-1.  The matrix part is M^-1 = det * adj(M); each center
+    offset is pinned by one linear equation with unit coefficient
+    det(M), e.g. the offset r' of omega^-1 must satisfy
+    omega((n11, n21, r')) = x where (n11, n21) is the first column of
+    M^-1, and r' enters that c-coordinate as det * r'.  So r' = -det * t,
+    where t is the offset apply() gives for (a, b) = (n11, n21).  In t's
+    product form (P, Q) = M (n11, n21) = (1, 0), because M times a column
+    of M^-1 is a unit vector, so P*Q = 0; likewise for the second
+    column.  Integer offsets make an automorphism.
 
     >>> invert(section(gl2.D)) == section(gl2.D)
     True
     """
     _expect(omega, Automorphism, "omega")
-    m, r, u = omega.matrix, omega.r, omega.u
-    n = gl2.mat_inverse(m)
-    d = m.det
+    m = omega.matrix
     m11, m12, m21, m22 = m.m11, m.m12, m.m21, m.m22
+    d = m11 * m22 - m12 * m21
+    n11, n12, n21, n22 = d * m22, -d * m12, -d * m21, d * m11
+    x, y = 2 * omega.r - m11 * m21, 2 * omega.u - m12 * m22
     return Automorphism._of(
-        n, -d * kernels.aut_offset(m11, m12, m21, m22, r, u, n.m11, n.m21),
-        -d * kernels.aut_offset(m11, m12, m21, m22, r, u, n.m12, n.m22))
+        Gl2Matrix._of(n11, n12, n21, n22),
+        -d * ((n11 * x + n21 * y - d * n11 * n21) // 2),
+        -d * ((n12 * x + n22 * y - d * n12 * n22) // 2))
 
 
 def power(omega: Automorphism, n: int) -> Automorphism:
@@ -208,8 +239,8 @@ def power(omega: Automorphism, n: int) -> Automorphism:
         omega, n = invert(omega), -n
     v, m = normal_form(omega)
     mn, sv = _affine_power(m.entries(), (v.p, v.q), n)
-    # M^n has det (det M)^n = +-1
-    return compose(inner(InnerVector(*sv)), section(Gl2Matrix._of(*mn)))
+    # M^n has det (det M)^n = +-1, and S_n v has int coordinates
+    return compose(inner(InnerVector._of(*sv)), section(Gl2Matrix._of(*mn)))
 
 
 def _compose_power(omega: Automorphism, n: int) -> Automorphism:
@@ -261,6 +292,7 @@ def inner(v: InnerVector) -> Automorphism:
 def project(omega: Automorphism) -> Gl2Matrix:
     """The induced matrix on the abelianization; a homomorphism onto
     GL(2,Z) whose kernel is exactly the inner automorphisms."""
+    _expect(omega, Automorphism, "omega")
     return omega.matrix
 
 
@@ -341,6 +373,7 @@ def center_image(omega: Automorphism) -> int:
 def is_aut_plus(omega: Automorphism) -> bool:
     """True iff the matrix lands in SL(2,Z); these are exactly the
     automorphisms acting as the identity on the center."""
+    _expect(omega, Automorphism, "omega")
     return omega.matrix.det == 1
 
 
@@ -382,4 +415,5 @@ def parse_automorphism(text: str) -> Automorphism:
 
 
 def format_automorphism(omega: Automorphism) -> str:
+    _expect(omega, Automorphism, "omega")
     return f"{{M={gl2.format_matrix(omega.matrix)}, r={omega.r}, u={omega.u}}}"

@@ -267,6 +267,7 @@ def coboundary(a: InnerVector) -> Cocycle:
     >>> coboundary(InnerVector(1, 0)).v_tau
     InnerVector(p=0, q=-1)
     """
+    _expect(a, InnerVector, "a")
     return Cocycle(
         act(gl2.A, a) - a,
         act(gl2.B, a) - a,
@@ -332,6 +333,8 @@ def cocycle_lattice() -> LatticeReport:
 
 def in_cocycle_lattice(phi: Cocycle, report: LatticeReport) -> bool:
     """Membership of a cocycle's flattened values in the solution lattice."""
+    _expect(phi, Cocycle, "phi")
+    _expect(report, LatticeReport, "report")
     return in_lattice(_flatten((phi.v_rho, phi.v_tau, phi.v_kappa)), report.basis)
 
 
@@ -442,6 +445,8 @@ def section_difference(
     >>> section_difference(alpha, canonical_section()) == coboundary(InnerVector(3, -2))
     True
     """
+    _expect(alpha2, SectionOnGenerators, "alpha2")
+    _expect(alpha1, SectionOnGenerators, "alpha1")
     return coboundary(alpha2._a - alpha1._a)
 
 
@@ -454,6 +459,8 @@ def twist(sigma0: SectionOnGenerators, phi: Cocycle) -> SectionOnGenerators:
     >>> twist(canonical_section(), ZERO_COCYCLE) == canonical_section()
     True
     """
+    _expect(sigma0, SectionOnGenerators, "sigma0")
+    _expect(phi, Cocycle, "phi")
     return SectionOnGenerators(
         *(compose(inner(phi.value(sym)), sigma0.value(sym)) for sym in gl2.GENERATORS)
     )
@@ -486,6 +493,7 @@ def parse_cocycle(text: str) -> Cocycle:
 
 
 def format_cocycle(phi: Cocycle) -> str:
+    _expect(phi, Cocycle, "phi")
     return f"{{rho={phi.v_rho}, tau={phi.v_tau}, kappa={phi.v_kappa}}}"
 
 
@@ -506,6 +514,7 @@ def parse_section(text: str) -> SectionOnGenerators:
 
 
 def format_section(alpha: SectionOnGenerators) -> str:
+    _expect(alpha, SectionOnGenerators, "alpha")
     return (
         f"{{rho={alpha.alpha_rho}, tau={alpha.alpha_tau}, "
         f"kappa={alpha.alpha_kappa}}}"

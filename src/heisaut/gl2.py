@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import re
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from ._backend import kernels
 from .heis import _INT, _check_int, _expect, _Value
@@ -113,23 +113,27 @@ def _affine_power(
 ) -> tuple[tuple[int, ...], tuple[int, int]]:
     """(M^n, S_n v) for n >= 0, S_n = I + M + ... + M^(n-1), on plain ints.
 
-    Square-and-multiply over the bits of n: the recurrence
-    (S_(j+k) v, M^(j+k)) = (S_j v + M^j S_k v, M^j M^k) both squares the
-    base power and multiplies it into the result.
+    (M^k, S_k v) is the k-th power of the affine map F(x) = M x + v.
+    Square-and-multiply over the bits of n from the top, from k = 0:
+    each bit doubles k by F^(2k) = F^k o F^k, i.e.
+    (P, s) -> (P^2, s + P s), and a set bit adds one by
+    F^(k+1) = F o F^k, i.e. (P, s) -> (M P, M s + v).  The entries stay
+    in locals, and P^2 takes five products: its diagonal is
+    p11^2 + p12 p21 and p22^2 + p12 p21, its off-diagonal p12 and p21
+    times the trace.
     """
-    p, s = (1, 0, 0, 1), (0, 0)
-    base_p, base_s = m, v
-    while n:
-        if n & 1:
-            s = (s[0] + p[0] * base_s[0] + p[1] * base_s[1],
-                 s[1] + p[2] * base_s[0] + p[3] * base_s[1])
-            p = kernels.mat_mul(*p, *base_p)
-        n >>= 1
-        if n:
-            base_s = (base_s[0] + base_p[0] * base_s[0] + base_p[1] * base_s[1],
-                      base_s[1] + base_p[2] * base_s[0] + base_p[3] * base_s[1])
-            base_p = kernels.mat_mul(*base_p, *base_p)
-    return p, s
+    m11, m12, m21, m22 = m
+    v1, v2 = v
+    p11, p12, p21, p22, s1, s2 = 1, 0, 0, 1, 0, 0
+    for bit in bin(n)[2:]:
+        t, tr = p12 * p21, p11 + p22
+        s1, s2 = s1 + p11 * s1 + p12 * s2, s2 + p21 * s1 + p22 * s2
+        p11, p12, p21, p22 = p11 * p11 + t, p12 * tr, p21 * tr, p22 * p22 + t
+        if bit == "1":
+            s1, s2 = m11 * s1 + m12 * s2 + v1, m21 * s1 + m22 * s2 + v2
+            p11, p12, p21, p22 = (m11 * p11 + m12 * p21, m11 * p12 + m12 * p22,
+                                  m21 * p11 + m22 * p21, m21 * p12 + m22 * p22)
+    return (p11, p12, p21, p22), (s1, s2)
 
 
 class Letter(enum.Enum):
@@ -152,17 +156,21 @@ GENERATORS = {Letter.RHO: A, Letter.TAU: B, Letter.KAPPA: D}
 LetterPair = tuple[Letter, int]
 
 
-def _reject_str(pairs: Iterable[LetterPair]) -> None:
+def _iter_pairs(pairs: Iterable[LetterPair], name: str) -> Iterator[LetterPair]:
     # a str iterates as characters, which then fail to unpack as pairs
     if isinstance(pairs, str):
         raise TypeError("word letters must be (Letter, int) pairs, not a "
                         "str; read a word's text with gl2.parse_word")
+    try:
+        return iter(pairs)
+    except TypeError:  # cheaper than isinstance(pairs, Iterable) first
+        raise TypeError(f"{name} must be an iterable of (Letter, int) pairs, "
+                        f"got {type(pairs).__name__}") from None
 
 
 def _normalize(letters: Iterable[LetterPair]) -> tuple[LetterPair, ...]:
-    _reject_str(letters)
     stack: list[LetterPair] = []
-    for sym, exp in letters:
+    for sym, exp in _iter_pairs(letters, "letters"):
         if not isinstance(sym, Letter):
             raise TypeError(f"word symbol must be a Letter, got {sym!r}")
         if type(exp) is not int:
@@ -232,9 +240,8 @@ def eval_letters(pairs: Sequence[LetterPair]) -> Gl2Matrix:
     >>> eval_letters(((Letter.RHO, 2), (Letter.TAU, 1))) == A ** 2 * B
     True
     """
-    _reject_str(pairs)
     m11, m12, m21, m22 = 1, 0, 0, 1
-    for sym, exp in pairs:
+    for sym, exp in _iter_pairs(pairs, "pairs"):
         if type(exp) is not int:
             _check_int(exp, "exponent")
         if sym is _RHO:
@@ -319,63 +326,86 @@ def _residual_lower(diag: int, off: int) -> list[LetterPair]:
     return [*_RHO_TAU_RHO * 2, (_TAU, off)]
 
 
+def _emit(word: list[LetterPair], sym: Letter, exp: int) -> None:
+    # append sym^exp to a reduced word: merge it into an equal last
+    # symbol and drop what comes to exponent 0.  decompose emits kappa
+    # once at most, so no kappa exponent needs reducing mod 2.
+    if word and word[-1][0] is sym:
+        exp += word.pop()[1]
+    if exp:
+        word.append((sym, exp))
+
+
 def _decompose_left(m: Gl2Matrix) -> list[LetterPair]:
     # Collect left factors L1..Lt with Lt*...*L1*M upper triangular; then
     # M = L1^-1*...*Lt^-1 * residual, so inverses are emitted in
     # application order, followed by the residual word.
-    out: list[LetterPair] = []
+    #
+    # The word comes out reduced.  The Euclid steps alternate tau and rho
+    # letters with nonzero exponents: after the first step each quotient
+    # divides a larger entry by a smaller one of the same sign.  Only the
+    # m11 == 0 step, which comes first or after a rho step, and the
+    # residual can put two equal symbols side by side or an exponent 0,
+    # so only they go through _emit.  The loop ends on a tau step, and
+    # the residual starts with rho.
+    word: list[LetterPair] = []
     m11, m12, m21, m22 = m.entries()
     if m.det == -1:
         # M = D * (D*M); emit kappa and reduce the det +1 remainder
-        out.append((_KAPPA, 1))
+        word.append((_KAPPA, 1))
         m11, m12 = -m11, -m12
-    prefix: list[LetterPair] = []
-    while m21 != 0:
-        if m11 == 0:
+    while m21:
+        if not m11:
             # det forces m21 = +-1; one row addition makes the corner +-1
-            m11, m12 = m11 + m21, m12 + m22  # left A
-            prefix.append((_RHO, -1))
+            m11, m12 = m21, m12 + m22  # left A
+            _emit(word, _RHO, -1)
             continue
-        q = m21 // m11
-        if q != 0:
-            m21, m22 = m21 - q * m11, m22 - q * m12  # left B^q
-            prefix.append((_TAU, -q))
-        if m21 == 0:
+        q, m21 = divmod(m21, m11)
+        if q:
+            m22 -= q * m12  # left B^q
+            word.append((_TAU, -q))
+        if not m21:
             break
-        q = m11 // m21
-        m11, m12 = m11 - q * m21, m12 - q * m22  # left A^-q
-        prefix.append((_RHO, q))
-    return out + prefix + _residual_upper(m11, m12)
+        q, m11 = divmod(m11, m21)
+        m12 -= q * m22  # left A^-q
+        word.append((_RHO, q))
+    for sym, exp in _residual_upper(m11, m12):
+        _emit(word, sym, exp)
+    return word
 
 
 def _decompose_right(m: Gl2Matrix) -> list[LetterPair]:
     # Same idea on columns: collect right factors R1..Rt with
     # M*R1*...*Rt lower triangular; then M = residual * Rt^-1*...*R1^-1,
-    # so inverses are emitted in reverse application order.
-    tail: list[LetterPair] = []
+    # so the word is built back to front (kappa, the inverses in
+    # application order, the residual reversed) and then reversed.  A
+    # word is reduced exactly when its reverse is, and the same argument
+    # as in _decompose_left says where letters can merge.
+    word: list[LetterPair] = []
     m11, m12, m21, m22 = m.entries()
     if m.det == -1:
         # M = (M*D) * D; reduce the det +1 part, then append kappa
-        tail.append((_KAPPA, 1))
+        word.append((_KAPPA, 1))
         m11, m21 = -m11, -m21
-    factors: list[LetterPair] = []
-    while m12 != 0:
-        if m11 == 0:
+    while m12:
+        if not m11:
             # det forces m12 = +-1; one column addition makes the corner +-1
-            m11, m21 = m11 + m12, m21 + m22  # right B^-1
-            factors.append((_TAU, -1))
+            m11, m21 = m12, m21 + m22  # right B^-1
+            _emit(word, _TAU, 1)
             continue
-        q = m12 // m11
-        if q != 0:
-            m12, m22 = m12 - q * m11, m22 - q * m21  # right A^-q
-            factors.append((_RHO, -q))
-        if m12 == 0:
+        q, m12 = divmod(m12, m11)
+        if q:
+            m22 -= q * m21  # right A^-q
+            word.append((_RHO, q))
+        if not m12:
             break
-        q = m11 // m12
-        m11, m21 = m11 - q * m12, m21 - q * m22  # right B^q
-        factors.append((_TAU, q))
-    inverted = [(sym, -exp) for sym, exp in reversed(factors)]
-    return _residual_lower(m11, m21) + inverted + tail
+        q, m11 = divmod(m11, m12)
+        m21 -= q * m22  # right B^q
+        word.append((_TAU, -q))
+    for sym, exp in reversed(_residual_lower(m11, m21)):
+        _emit(word, sym, exp)
+    word.reverse()
+    return word
 
 
 def decompose(m: Gl2Matrix, strategy: str = "left") -> GeneratorWord:
@@ -393,10 +423,17 @@ def decompose(m: Gl2Matrix, strategy: str = "left") -> GeneratorWord:
     """
     _expect(m, Gl2Matrix, "m")
     if strategy == "left":
-        return GeneratorWord(tuple(_decompose_left(m)))
-    if strategy == "right":
-        return GeneratorWord(tuple(_decompose_right(m)))
-    raise ValueError(f"unknown strategy {strategy!r} (expected 'left' or 'right')")
+        letters = _decompose_left(m)
+    elif strategy == "right":
+        letters = _decompose_right(m)
+    else:
+        raise ValueError(f"unknown strategy {strategy!r} (expected 'left' or 'right')")
+    # both Euclid routines return reduced words, which GeneratorWord's
+    # normalization would not change; so the word is built unchecked,
+    # like the generated classes' _of
+    word = object.__new__(GeneratorWord)
+    object.__setattr__(word, "letters", tuple(letters))
+    return word
 
 
 _MATRIX_RE = re.compile(
@@ -419,6 +456,7 @@ def parse_matrix(text: str) -> Gl2Matrix:
 
 
 def format_matrix(m: Gl2Matrix) -> str:
+    _expect(m, Gl2Matrix, "m")
     return f"[[{m.m11},{m.m12}],[{m.m21},{m.m22}]]"
 
 

@@ -241,8 +241,11 @@ def commutator(g1: HeisElement, g2: HeisElement) -> HeisElement:
     >>> str(commutator(X, Y))
     '(0,0,1)'
     """
-    # Expanding the group law collapses everything but the corner entry.
-    return HeisElement(0, 0, g1.a * g2.b - g2.a * g1.b)
+    # Expanding the group law collapses everything but the corner entry;
+    # any integer triple is valid.
+    _expect(g1, HeisElement, "g1")
+    _expect(g2, HeisElement, "g2")
+    return HeisElement._of(0, 0, g1.a * g2.b - g2.a * g1.b)
 
 
 def lambda_project(g: HeisElement) -> AbPair:
@@ -251,7 +254,9 @@ def lambda_project(g: HeisElement) -> AbPair:
     >>> str(lambda_project(HeisElement(3, -2, 9)))
     '(3,-2)'
     """
-    return AbPair(g.a, g.b)
+    # a valid element has int coordinates
+    _expect(g, HeisElement, "g")
+    return AbPair._of(g.a, g.b)
 
 
 def is_central(g: HeisElement) -> bool:
@@ -262,6 +267,7 @@ def is_central(g: HeisElement) -> bool:
     >>> is_central(HeisElement(1, 0, 5))
     False
     """
+    _expect(g, HeisElement, "g")
     return g.a == 0 and g.b == 0
 
 
@@ -288,4 +294,5 @@ def parse_element(text: str) -> HeisElement:
 
 def format_element(g: HeisElement) -> str:
     """Inverse of parse_element, canonical form with no spaces."""
+    _expect(g, HeisElement, "g")
     return f"({g.a},{g.b},{g.c})"

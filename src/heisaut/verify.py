@@ -336,6 +336,11 @@ def _word_roundtrip(rng: random.Random) -> Outcome:
         back = gl2.eval_word(w)
         if back != m:
             return _mismatch(f"strategy={strategy} M={m} word={w}", m, back)
+        # decompose builds its word unchecked, so it must be normalized
+        normalized = gl2.GeneratorWord(w.letters)
+        if normalized != w:
+            return _mismatch(f"normalized strategy={strategy} M={m}",
+                             normalized, w)
     return None
 
 

@@ -9,7 +9,9 @@ beats asymptotics; no normal-form library is warranted for this.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
+
+from .heis import _expect
 
 Vector = tuple[int, ...]
 
@@ -57,6 +59,7 @@ def kernel_basis(rows: Sequence[Sequence[int]]) -> list[Vector]:
     >>> kernel_basis([[1, 1, 0], [0, 0, 0]])
     [(-1, 1, 0), (0, 0, 1)]
     """
+    _expect(rows, Sequence, "rows")
     nrows = len(rows)
     ncols = len(rows[0])
     cols: list[list[int]] = [
@@ -72,6 +75,7 @@ def column_echelon(vectors: Sequence[Sequence[int]]) -> list[Vector]:
     """An echelon basis (strictly increasing leading indices) of the
     lattice generated by the given vectors.  Column operations only, so
     the lattice is unchanged."""
+    _expect(vectors, Sequence, "vectors")
     if not vectors:
         return []
     cols = [list(v) for v in vectors]
@@ -87,6 +91,8 @@ def in_lattice(vector: Sequence[int], basis: Sequence[Sequence[int]]) -> bool:
     >>> in_lattice((1, 1), [(0, 2), (1, 0)])
     False
     """
+    _expect(vector, Sequence, "vector")
+    _expect(basis, Sequence, "basis")
     target = list(vector)
     for col in column_echelon(basis):
         lead = next((i for i, e in enumerate(col) if e != 0), None)
@@ -107,6 +113,8 @@ def lattices_equal(
     basis1: Sequence[Sequence[int]], basis2: Sequence[Sequence[int]]
 ) -> bool:
     """Mutual membership of two generating sets."""
+    _expect(basis1, Sequence, "basis1")
+    _expect(basis2, Sequence, "basis2")
     return all(in_lattice(v, basis2) for v in basis1) and all(
         in_lattice(v, basis1) for v in basis2
     )

@@ -27,7 +27,7 @@ from heisaut.aut import (
     section,
 )
 from heisaut.cocycles import canonical_section
-from heisaut.gl2 import Letter
+from heisaut.gl2 import Letter, _affine_power
 from heisaut.heis import IDENTITY, X, Y, Z, HeisElement, inverse, multiply
 from heisaut.heis import power as elem_power
 
@@ -222,7 +222,7 @@ class TestSection:
         assert elem_power(Y, -1) == HeisElement(0, -1, 0)
 
     @given(matrices, matrices)
-    @settings(max_examples=60)
+    @settings(max_examples=settings().max_examples * 3 // 5)
     def test_homomorphism(self, m1, m2):
         assert section(gl2.mat_multiply(m1, m2)) == \
             compose(section(m1), section(m2))
@@ -307,7 +307,7 @@ class TestNormalForm:
             assert compose(inner(v), section(m)) == omega
 
     @given(matrices, vectors)
-    @settings(max_examples=60)
+    @settings(max_examples=settings().max_examples * 3 // 5)
     def test_naturality_of_matrix_action(self, m, v):
         sigma_m = section(m)
         conjugated = compose(sigma_m, compose(inner(v), invert(sigma_m)))
@@ -396,3 +396,110 @@ class TestPowerAtLargeSize:
         omega = Automorphism(m, 2**5000 + 1, -(3**3100))
         n = sign * self.N
         assert power(omega, n) == _compose_power(omega, n)
+
+
+def expansion_offset(m: gl2.Gl2Matrix, r: int, u: int, a: int, b: int) -> int:
+    # the offset omega gives (a, b, 0), in the C(a,2) expansion of
+    # omega(y)^b * omega(x)^a that apply() was first written with
+    return (a * r + b * u + a * (a - 1) // 2 * m.m11 * m.m21
+            + b * (b - 1) // 2 * m.m12 * m.m22 + a * b * m.m12 * m.m21)
+
+
+# 5000-bit coordinates, zero, and small ones
+big = st.one_of(st.just(0), st.integers(min_value=-3, max_value=3),
+                st.integers(min_value=-2**5000, max_value=2**5000))
+# long-word matrices of both determinants, words with 5000-bit
+# exponents, and small det -1 matrices with zero entries
+big_matrices = st.one_of(
+    st.builds(lambda length, seed, kappa: gl2.eval_letters(
+        long_word(length, seed) + [(Letter.KAPPA, kappa)]),
+        st.integers(0, 1500), st.integers(0, 2**32), st.integers(0, 1)),
+    st.lists(st.tuples(st.sampled_from(tuple(Letter)), big),
+             max_size=5).map(gl2.eval_letters),
+    st.sampled_from((gl2.D, gl2.Gl2Matrix(0, 1, 1, 0),
+                     gl2.Gl2Matrix(0, -1, -1, 0), gl2.Gl2Matrix(1, 0, 7, -1))),
+)
+big_automorphisms = st.builds(Automorphism, big_matrices, big, big)
+
+
+def expected_apply(omega: Automorphism, a: int, b: int, c: int) -> HeisElement:
+    m = omega.matrix
+    return HeisElement(a * m.m11 + b * m.m12, a * m.m21 + b * m.m22,
+                       m.det * c + expansion_offset(m, omega.r, omega.u, a, b))
+
+
+def expected_compose(omega2: Automorphism, omega1: Automorphism) -> Automorphism:
+    n, m = omega2.matrix, omega1.matrix
+    offset = lambda a, b: expansion_offset(n, omega2.r, omega2.u, a, b)
+    return Automorphism(gl2.mat_multiply(n, m),
+                        n.det * omega1.r + offset(m.m11, m.m21),
+                        n.det * omega1.u + offset(m.m12, m.m22))
+
+
+def expected_invert(omega: Automorphism) -> Automorphism:
+    m, inv = omega.matrix, gl2.mat_inverse(omega.matrix)
+    offset = lambda a, b: expansion_offset(m, omega.r, omega.u, a, b)
+    return Automorphism(inv, -m.det * offset(inv.m11, inv.m21),
+                        -m.det * offset(inv.m12, inv.m22))
+
+
+class TestProductFormOffsets:
+    """apply, compose and invert equal the C(a,2) expansion of the offsets."""
+
+    @settings(deadline=None)
+    @given(big_automorphisms, big, big, big)
+    def test_apply(self, omega, a, b, c):
+        assert apply(omega, HeisElement(a, b, c)) == expected_apply(omega, a, b, c)
+
+    @settings(deadline=None)
+    @given(big_automorphisms, big_automorphisms)
+    def test_compose(self, omega2, omega1):
+        assert compose(omega2, omega1) == expected_compose(omega2, omega1)
+
+    @settings(deadline=None)
+    @given(big_automorphisms)
+    def test_invert(self, omega):
+        assert invert(omega) == expected_invert(omega)
+
+    @pytest.mark.parametrize("det", [1, -1])
+    def test_at_5000_bits(self, det):
+        # 1000- and 3000-letter words, 5000-bit offsets and coordinates
+        rng = random.Random(det)
+        big_int = lambda: rng.choice((1, -1)) * (rng.getrandbits(5000) | 1 << 4999)
+        omegas = []
+        for length in (1000, 3000):
+            m = gl2.eval_letters(long_word(length, seed=length + det))
+            if m.det != det:
+                m = gl2.mat_multiply(m, gl2.D)
+            omegas.append(Automorphism(m, big_int(), big_int()))
+        for omega in omegas:
+            a, b, c = big_int(), big_int(), big_int()
+            assert apply(omega, HeisElement(a, b, c)) == expected_apply(omega, a, b, c)
+            assert invert(omega) == expected_invert(omega)
+        for omega2, omega1 in (omegas, omegas[::-1]):
+            assert compose(omega2, omega1) == expected_compose(omega2, omega1)
+
+
+def naive_affine_power(m, v, n):
+    # (M^n, S_n v) by n steps of x -> M x + v
+    p, s = (1, 0, 0, 1), (0, 0)
+    for _ in range(n):
+        s = (s[0] + p[0] * v[0] + p[1] * v[1], s[1] + p[2] * v[0] + p[3] * v[1])
+        p = (p[0] * m[0] + p[1] * m[2], p[0] * m[1] + p[1] * m[3],
+             p[2] * m[0] + p[3] * m[2], p[2] * m[1] + p[3] * m[3])
+    return p, s
+
+
+class TestAffinePower:
+    @given(matrices, big, big, st.integers(0, 70))
+    def test_matches_naive_loop(self, m, v1, v2, n):
+        assert _affine_power(m.entries(), (v1, v2), n) == \
+            naive_affine_power(m.entries(), (v1, v2), n)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 2**2000 - 1, 2**2000, 3**1300],
+                             ids=["0", "1", "2", "2^2000-1", "2^2000", "3^1300"])
+    def test_shear_at_large_exponents(self, n):
+        # A^n = [[1, n], [0, 1]], so S_n v = (n v1 + C(n,2) v2, n v2)
+        v1, v2 = 2**5000 + 1, -(3**3100)
+        assert _affine_power(gl2.A.entries(), (v1, v2), n) == \
+            ((1, n, 0, 1), (n * v1 + n * (n - 1) // 2 * v2, n * v2))

@@ -1,4 +1,5 @@
 import dis
+import random
 import types
 
 import pytest
@@ -196,6 +197,112 @@ class TestDecompose:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
             decompose(A, "diagonal")
+
+
+def two_pass_decompose(m: Gl2Matrix, strategy: str) -> tuple:
+    # decompose as it was first written, the reference for the one-pass
+    # word: the raw Euclid letters with // and explicit remainders, the
+    # residual appended, then GeneratorWord's normalization
+    rtr2 = [(Letter.RHO, 1), (Letter.TAU, 1), (Letter.RHO, 1)] * 2
+    m11, m12, m21, m22 = m.entries()
+    raw = []
+    if strategy == "left":
+        if m.det == -1:
+            raw.append((Letter.KAPPA, 1))
+            m11, m12 = -m11, -m12
+        while m21 != 0:
+            if m11 == 0:
+                m11, m12 = m11 + m21, m12 + m22
+                raw.append((Letter.RHO, -1))
+                continue
+            q = m21 // m11
+            m21, m22 = m21 - q * m11, m22 - q * m12
+            raw.append((Letter.TAU, -q))
+            if m21 == 0:
+                break
+            q = m11 // m21
+            m11, m12 = m11 - q * m21, m12 - q * m22
+            raw.append((Letter.RHO, q))
+        raw += [(Letter.RHO, m12)] if m11 == 1 else rtr2 + [(Letter.RHO, -m12)]
+    else:
+        tail = []
+        if m.det == -1:
+            tail.append((Letter.KAPPA, 1))
+            m11, m21 = -m11, -m21
+        factors = []
+        while m12 != 0:
+            if m11 == 0:
+                m11, m21 = m11 + m12, m21 + m22
+                factors.append((Letter.TAU, -1))
+                continue
+            q = m12 // m11
+            m12, m22 = m12 - q * m11, m22 - q * m21
+            factors.append((Letter.RHO, -q))
+            if m12 == 0:
+                break
+            q = m11 // m12
+            m11, m21 = m11 - q * m12, m21 - q * m22
+            factors.append((Letter.TAU, q))
+        residual = ([(Letter.TAU, -m21)] if m11 == 1
+                    else rtr2 + [(Letter.TAU, m21)])
+        raw = residual + [(sym, -exp) for sym, exp in reversed(factors)] + tail
+    return GeneratorWord(tuple(raw)).letters, len(raw)
+
+
+def box_matrices(bound: int):
+    # every matrix of GL(2,Z) with entries in [-bound, bound]
+    span = range(-bound, bound + 1)
+    return [Gl2Matrix(a, b, c, d) for a in span for b in span for c in span
+            for d in span if a * d - b * c in (1, -1)]
+
+
+def long_word(length: int, seed: int):
+    # neighbouring letters differ, so nothing cancels
+    rng = random.Random(seed)
+    pairs, prev = [], None
+    for _ in range(length):
+        sym = rng.choice([s for s in Letter if s is not prev])
+        pairs.append((sym, rng.choice((1, -1)) * rng.randint(1, 9)))
+        prev = sym
+    return pairs
+
+
+STRATEGIES = ("left", "right")
+
+
+class TestDecomposeMatchesTwoPass:
+    """The one-pass word equals the raw Euclid word after normalization."""
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_box(self, strategy):
+        # zero corners, det -1, q == 0 first steps and both residuals
+        merged = 0
+        for m in box_matrices(5):
+            want, raw_length = two_pass_decompose(m, strategy)
+            assert decompose(m, strategy).letters == want
+            merged += raw_length > len(want)
+        # the box reaches the merging steps, not only clean Euclid runs
+        assert merged > 100
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("length", [1000, 3000])
+    @pytest.mark.parametrize("det", [1, -1])
+    def test_long_words(self, strategy, length, det):
+        m = eval_letters(long_word(length, seed=length + det))
+        if m.det != det:
+            m = mat_multiply(m, D)
+        assert decompose(m, strategy).letters == two_pass_decompose(m, strategy)[0]
+
+    @given(matrices, st.sampled_from(STRATEGIES))
+    def test_random(self, m, strategy):
+        assert decompose(m, strategy).letters == two_pass_decompose(m, strategy)[0]
+
+    @given(st.lists(st.tuples(st.sampled_from(tuple(Letter)),
+                              st.integers(-2**70, 2**70)), max_size=8),
+           st.sampled_from(STRATEGIES))
+    def test_huge_quotients(self, raw, strategy):
+        m = eval_letters(raw)
+        assert decompose(m, strategy).letters == two_pass_decompose(m, strategy)[0]
 
 
 class TestRelations:

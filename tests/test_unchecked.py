@@ -3,7 +3,8 @@
 Each function that skips the constructor's validation because its
 result is valid by construction is run on operands up to 5000 bits,
 det -1 matrices and zero entries.  Rebuilding the result through its
-public constructor must succeed and give an equal value.
+public constructor must succeed and give an equal value; for decompose,
+GeneratorWord's normalization must leave the word as it is.
 """
 
 import pytest
@@ -35,10 +36,13 @@ CASES = [
     ("heis.multiply", heis.multiply, (elements, elements)),
     ("heis.inverse", heis.inverse, (elements,)),
     ("heis.power", heis.power, (elements, coords)),
+    ("heis.commutator", heis.commutator, (elements, elements)),
+    ("heis.lambda_project", heis.lambda_project, (elements,)),
     ("gl2.mat_multiply", gl2.mat_multiply, (matrices, matrices)),
     ("gl2.mat_inverse", gl2.mat_inverse, (matrices,)),
     ("Gl2Matrix.__pow__", Gl2Matrix.__pow__, (matrices, exponents)),
     ("gl2.eval_letters", gl2.eval_letters, (letter_pairs,)),
+    ("gl2.decompose", gl2.decompose, (matrices, st.sampled_from(("left", "right")))),
     ("aut.apply", aut.apply, (automorphisms, elements)),
     ("aut.compose", aut.compose, (automorphisms, automorphisms)),
     ("aut.invert", aut.invert, (automorphisms,)),
@@ -58,7 +62,8 @@ def assert_rebuilds(value):
 
 @pytest.mark.parametrize("fn, operands", [
     pytest.param(fn, operands, id=name) for name, fn, operands in CASES])
-@settings(max_examples=40, deadline=None)
+# two fifths of the profile's examples: 40 under the default profile
+@settings(max_examples=settings().max_examples * 2 // 5, deadline=None)
 @given(data=st.data())
 def test_unchecked_result_passes_its_checks(fn, operands, data):
     args = [data.draw(operand) for operand in operands]

@@ -8,7 +8,9 @@ The contract tests pin what the classes share: the constructor's
 parameters, messages and validation hook, the unchecked _of of the
 classes with a hook, keyword construction, repr, == and hash within one
 class only, pickling and copying, frozen fields and no instance
-__dict__.
+__dict__.  A walk over the public functions of heis, gl2, aut, cocycles
+and zlattice pins the boundary: object() in any required parameter
+raises a TypeError that names it.
 """
 
 import copy
@@ -20,7 +22,7 @@ import pytest
 
 from collections import namedtuple
 
-from heisaut import aut, cocycles, gl2, heis, verify
+from heisaut import aut, cocycles, gl2, heis, verify, zlattice
 from heisaut.aut import ZERO_VECTOR, Automorphism, InnerVector
 from heisaut.cocycles import (
     ZERO_COCYCLE,
@@ -528,3 +530,44 @@ def test_operand_subclass_accepted():
     assert InnerVector(1, 2) + V(3, 4) == InnerVector(4, 6)
     assert InnerVector(1, 2) - V(3, 4) == InnerVector(-2, -2)
     assert HeisElement(1, 0, 0) * H(0, 1, 0) == HeisElement(1, 1, 1)
+
+
+# One valid value per parameter annotation of the public API.  A public
+# function with a parameter type missing here fails the walk below with
+# a KeyError, so a new function is covered once its types are listed.
+VALID_BY_ANNOTATION = {
+    "HeisElement": heis.X,
+    "int": 3,
+    "str": "(1,2,3)",
+    "Gl2Matrix": gl2.A,
+    "GeneratorWord": gl2.parse_word("A B"),
+    "Sequence[LetterPair]": ((Letter.RHO, 1),),
+    "Automorphism": aut.rd(1),
+    "InnerVector": InnerVector(1, 2),
+    "Cocycle": ZERO_COCYCLE,
+    "LatticeReport": cocycles.cocycle_lattice(),
+    "SectionOnGenerators": canonical_section(),
+    "Sequence[int]": (1, 2),
+    "Sequence[Sequence[int]]": [(1, 0), (0, 1)],
+}
+
+
+def _public_parameters():
+    for mod in (heis, gl2, aut, cocycles, zlattice):
+        for name, fn in vars(mod).items():
+            if (name.startswith("_") or not inspect.isfunction(fn)
+                    or fn.__module__ != mod.__name__):
+                continue
+            required = [p for p in inspect.signature(fn).parameters.values()
+                        if p.default is p.empty]
+            for param in required:
+                yield pytest.param(fn, required, param.name,
+                                   id=f"{mod.__name__.split('.')[-1]}.{name}-{param.name}")
+
+
+@pytest.mark.parametrize("fn, required, name", list(_public_parameters()))
+def test_foreign_argument_names_its_parameter(fn, required, name):
+    args = [object() if p.name == name else VALID_BY_ANNOTATION[p.annotation]
+            for p in required]
+    with pytest.raises(TypeError, match=f"^{name} must be "):
+        fn(*args)
