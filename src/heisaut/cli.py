@@ -39,12 +39,19 @@ from ._backend import backend_name
 _SUITES_HELP = "suite names, or 'all' (default: all); available: "
 
 
+# each character that str.splitlines breaks on, as its backslash escape
+_LINE_BREAKS = str.maketrans(
+    {c: ascii(c)[1:-1] for c in "\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029"})
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; the contract here
-    # reserves 2 for property violations, so remap to 1
+    # reserves 2 for property violations, so remap to 1.  The message
+    # echoes unrecognized arguments raw: escape their line breaks, so
+    # that it stays on one line
     def error(self, message: str) -> None:
         self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        self.exit(1, f"{self.prog}: error: {message.translate(_LINE_BREAKS)}\n")
 
     def format_help(self) -> str:
         # the suite list needs the verify module: read it only when the

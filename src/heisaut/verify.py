@@ -13,12 +13,16 @@ Twister stream, not on random.py's helper code.
 Sampling ranges: element coordinates and center offsets are uniform in
 [-10^9, 10^9]; matrices are built as random generator words of length
 at most 20 (guaranteeing determinant +-1); shear parameters d are
-uniform in [-10^6, 10^6].  Failures carry the sampled inputs plus the
-expected and actual values; a sample that raises an exception is a
-failure that names the exception and the sample's RNG key.  At most
-three failures are recorded per suite before it stops early.  run()
-checks every suite name, the sample count and the seed before it runs
-any suite.
+uniform in [-10^6, 10^6].
+
+A sampled suite has one failure path: a check that fails raises
+_Mismatch(inputs, expected, actual) with the two sides it compared, so
+the first failed check of a sample ends that sample and becomes its
+Failure.  Any other exception is a failure too, one that names the
+exception and the sample's RNG key.  A static suite returns its
+failing cases instead.  At most three failures are recorded per suite,
+and a sampled suite stops at the third.  run() checks every suite name,
+the sample count and the seed before it runs any suite.
 
 Where the library uses a closed form, the suites check it against the
 generic route it replaced: word folds for section() and extend(), the
@@ -68,8 +72,9 @@ class VerifyReport(heis._Value):
         return all(r.ok for r in self.results)
 
 
-# a sample function returns None on success or (inputs, expected, actual)
-Outcome = Optional[tuple[str, str, str]]
+class _Mismatch(Exception):
+    """A failed check of a sampled suite; args are (inputs, expected,
+    actual), the two sides as the check compared them."""
 
 
 class _Suite(heis._Value):
@@ -81,7 +86,7 @@ _SUITES: dict[str, _Suite] = {}
 
 
 def _sampled(name: str):
-    def register(fn: Callable[[random.Random], Outcome]):
+    def register(fn: Callable[[random.Random], None]):
         _SUITES[name] = _Suite(name, fn, static=False)
         return fn
 
@@ -128,21 +133,23 @@ def run_suite(name: str, samples: int, seed: int) -> SuiteResult:
             ran += 1
             key = f"{seed}:{name}:{i}"
             try:
-                outcome = suite.fn(random.Random(key))
+                suite.fn(random.Random(key))
+                continue
+            except _Mismatch as exc:
+                failures.append(Failure(i, *map(str, exc.args)))
             except Exception as exc:
-                outcome = (f"rng key {key}", *_raised(exc))
-            if outcome is not None:
-                failures.append(Failure(i, *outcome))
-                if len(failures) >= MAX_RECORDED_FAILURES:
-                    break
+                failures.append(Failure(i, f"rng key {key}", *_raised(exc)))
+            if len(failures) >= MAX_RECORDED_FAILURES:
+                break
     elapsed = time.perf_counter() - start
     return SuiteResult(name, ran, seed, elapsed, tuple(failures[:MAX_RECORDED_FAILURES]))
 
 
 def _raised(exc: Exception) -> tuple[str, str]:
-    # (expected, actual) of a sample that raised instead of returning: a
-    # library defect may show as an exception, and then it is a FAIL of
-    # that sample, not the end of the run; KeyboardInterrupt still ends it
+    # (expected, actual) of a suite that raised something other than a
+    # _Mismatch: a library defect may show as an exception, and then it
+    # is a FAIL of that sample, not the end of the run; KeyboardInterrupt
+    # still ends it
     return "no exception", f"{type(exc).__name__}: {exc}"
 
 
@@ -227,33 +234,31 @@ def _rand_vector(rng: random.Random, bound: int = ELEMENT_BOUND) -> aut.InnerVec
     return aut.InnerVector(_rand_int(rng, bound), _rand_int(rng, bound))
 
 
-def _mismatch(inputs: str, expected: object, actual: object) -> Outcome:
-    return (inputs, str(expected), str(actual))
-
-
 # ---------------------------------------------------------------------------
 # element suites
 
 @_sampled("group-axioms")
-def _group_axioms(rng: random.Random) -> Outcome:
+def _group_axioms(rng: random.Random) -> None:
     g1, g2, g3 = (_rand_element(rng) for _ in range(3))
     left = heis.multiply(heis.multiply(g1, g2), g3)
     right = heis.multiply(g1, heis.multiply(g2, g3))
     if left != right:
-        return _mismatch(f"associativity g1={g1} g2={g2} g3={g3}", left, right)
+        raise _Mismatch(f"associativity g1={g1} g2={g2} g3={g3}", left, right)
+    e = heis.IDENTITY
     for g in (g1, g2, g3):
-        if heis.multiply(g, heis.IDENTITY) != g or heis.multiply(heis.IDENTITY, g) != g:
-            return _mismatch(f"identity law g={g}", g, heis.multiply(g, heis.IDENTITY))
         inv = heis.inverse(g)
-        if (heis.multiply(g, inv) != heis.IDENTITY
-                or heis.multiply(inv, g) != heis.IDENTITY):
-            return _mismatch(
-                f"inverse law g={g}", heis.IDENTITY, heis.multiply(g, inv))
-    return None
+        for law, product, expected in (
+            ("identity law g*e", heis.multiply(g, e), g),
+            ("identity law e*g", heis.multiply(e, g), g),
+            ("inverse law g*g^-1", heis.multiply(g, inv), e),
+            ("inverse law g^-1*g", heis.multiply(inv, g), e),
+        ):
+            if product != expected:
+                raise _Mismatch(f"{law} g={g}", expected, product)
 
 
 @_sampled("power-oracle")
-def _power_oracle(rng: random.Random) -> Outcome:
+def _power_oracle(rng: random.Random) -> None:
     g = _rand_element(rng)
     n = _rand_int(rng, 50)
     base = g if n >= 0 else heis.inverse(g)
@@ -262,117 +267,106 @@ def _power_oracle(rng: random.Random) -> Outcome:
         acc = heis.multiply(acc, base)
     got = heis.power(g, n)
     if got != acc:
-        return _mismatch(f"g={g} n={n}", acc, got)
-    return None
+        raise _Mismatch(f"g={g} n={n}", acc, got)
 
 
 @_sampled("generator-decomposition")
-def _generator_decomposition(rng: random.Random) -> Outcome:
+def _generator_decomposition(rng: random.Random) -> None:
     g = _rand_element(rng)
     chain = heis.multiply(
         heis.multiply(heis.power(heis.Z, g.c), heis.power(heis.Y, g.b)),
         heis.power(heis.X, g.a),
     )
     if chain != g:
-        return _mismatch(f"z^c y^b x^a for g={g}", g, chain)
-    return None
+        raise _Mismatch(f"z^c y^b x^a for g={g}", g, chain)
 
 
 @_sampled("lambda-hom")
-def _lambda_hom(rng: random.Random) -> Outcome:
+def _lambda_hom(rng: random.Random) -> None:
     g1, g2 = _rand_element(rng), _rand_element(rng)
     if rng.random() < 0.25:
         g1 = heis.HeisElement(0, 0, g1.c)
     lam = heis.lambda_project
-    if lam(heis.multiply(g1, g2)) != lam(g1) + lam(g2):
-        return _mismatch(
-            f"homomorphism g1={g1} g2={g2}",
-            lam(g1) + lam(g2),
-            lam(heis.multiply(g1, g2)),
-        )
+    product, summed = lam(heis.multiply(g1, g2)), lam(g1) + lam(g2)
+    if product != summed:
+        raise _Mismatch(f"homomorphism g1={g1} g2={g2}", summed, product)
     in_kernel = lam(g1) == heis.AbPair(0, 0)
-    if in_kernel != heis.is_central(g1):
-        return _mismatch(
-            f"kernel=center g={g1}", heis.is_central(g1), in_kernel)
-    return None
+    central = heis.is_central(g1)
+    if in_kernel != central:
+        raise _Mismatch(f"kernel=center g={g1}", central, in_kernel)
 
 
 @_sampled("central-commute")
-def _central_commute(rng: random.Random) -> Outcome:
+def _central_commute(rng: random.Random) -> None:
     g = _rand_element(rng)
     if rng.random() < 0.5:
         g = heis.HeisElement(0, 0, g.c)
     commutes = all(
         heis.multiply(g, h) == heis.multiply(h, g) for h in (heis.X, heis.Y)
     )
-    if commutes != heis.is_central(g):
-        return _mismatch(
-            f"g={g}", f"is_central={heis.is_central(g)}", f"commutes={commutes}")
-    return None
+    central = heis.is_central(g)
+    if commutes != central:
+        raise _Mismatch(f"g={g}", f"is_central={central}", f"commutes={commutes}")
 
 
 @_sampled("commutator-oracle")
-def _commutator_oracle(rng: random.Random) -> Outcome:
+def _commutator_oracle(rng: random.Random) -> None:
     g1, g2 = _rand_element(rng), _rand_element(rng)
     expanded = heis.multiply(
         heis.multiply(heis.multiply(g1, g2), heis.inverse(g1)), heis.inverse(g2)
     )
     got = heis.commutator(g1, g2)
     if got != expanded:
-        return _mismatch(f"g1={g1} g2={g2}", expanded, got)
+        raise _Mismatch(f"g1={g1} g2={g2}", expanded, got)
     if not heis.is_central(got):
-        return _mismatch(f"centrality g1={g1} g2={g2}", "central", str(got))
-    return None
+        raise _Mismatch(f"centrality g1={g1} g2={g2}", "central", got)
 
 
 # ---------------------------------------------------------------------------
 # GL(2,Z) word suites
 
 @_sampled("word-roundtrip")
-def _word_roundtrip(rng: random.Random) -> Outcome:
+def _word_roundtrip(rng: random.Random) -> None:
     m = _rand_matrix(rng)
     for strategy in ("left", "right"):
         w = gl2.decompose(m, strategy)
         back = gl2.eval_word(w)
         if back != m:
-            return _mismatch(f"strategy={strategy} M={m} word={w}", m, back)
+            raise _Mismatch(f"strategy={strategy} M={m} word={w}", m, back)
         # decompose builds its word unchecked, so it must be normalized
         normalized = gl2.GeneratorWord(w.letters)
         if normalized != w:
-            return _mismatch(f"normalized strategy={strategy} M={m}",
-                             normalized, w)
-    return None
+            raise _Mismatch(f"normalized strategy={strategy} M={m}", normalized, w)
 
 
 @_sampled("word-det")
-def _word_det(rng: random.Random) -> Outcome:
+def _word_det(rng: random.Random) -> None:
     pairs = _rand_pairs(rng)
     m = gl2.eval_letters(pairs)
     kappa_exp = sum(exp for sym, exp in pairs if sym is _KAPPA)
     expected = -1 if kappa_exp % 2 else 1
     if m.det != expected:
         word = gl2.format_word(gl2.GeneratorWord(tuple(pairs)))
-        return _mismatch(f"word={word!r}", expected, m.det)
-    return None
+        raise _Mismatch(f"word={word!r}", expected, m.det)
 
 
 @_sampled("word-normalize")
-def _word_normalize(rng: random.Random) -> Outcome:
+def _word_normalize(rng: random.Random) -> None:
     pairs = tuple(_rand_pairs(rng))
     # the plain-int column fold of eval_letters against matrix products
     product = gl2.IDENTITY
     for sym, exp in pairs:
         product = gl2.mat_multiply(product, gl2.GENERATORS[sym] ** exp)
-    if gl2.eval_letters(pairs) != product:
-        return _mismatch(f"generator powers raw={pairs}", product,
-                         gl2.eval_letters(pairs))
+    folded = gl2.eval_letters(pairs)
+    if folded != product:
+        raise _Mismatch(f"generator powers raw={pairs}", product, folded)
     w = gl2.GeneratorWord(pairs)
-    if gl2.eval_word(w) != gl2.eval_letters(pairs):
-        return _mismatch(
-            f"evaluation invariance raw={pairs}", gl2.eval_letters(pairs),
-            gl2.eval_word(w))
-    if gl2.GeneratorWord(w.letters) != w:
-        return _mismatch(f"idempotence w={w}", w, gl2.GeneratorWord(w.letters))
+    evaluated = gl2.eval_word(w)
+    if evaluated != folded:
+        raise _Mismatch(f"evaluation invariance raw={pairs}", folded, evaluated)
+    again = gl2.GeneratorWord(w.letters)
+    if again != w:
+        raise _Mismatch(f"idempotence w={w}", w, again)
     for i, (sym, exp) in enumerate(w.letters):
         bad = (
             exp == 0
@@ -380,8 +374,7 @@ def _word_normalize(rng: random.Random) -> Outcome:
             or (i > 0 and w.letters[i - 1][0] is sym)
         )
         if bad:
-            return _mismatch(f"normal form w={w}", "normalized letters", str(w.letters))
-    return None
+            raise _Mismatch(f"normal form w={w}", "normalized letters", w.letters)
 
 
 @_static("matrix-relations")
@@ -397,18 +390,17 @@ def _matrix_relations() -> list[tuple[str, str, str]]:
 # automorphism suites
 
 @_sampled("apply-hom")
-def _apply_hom(rng: random.Random) -> Outcome:
+def _apply_hom(rng: random.Random) -> None:
     omega = _rand_aut(rng)
     g1, g2 = _rand_element(rng), _rand_element(rng)
     lhs = aut.apply(omega, heis.multiply(g1, g2))
     rhs = heis.multiply(aut.apply(omega, g1), aut.apply(omega, g2))
     if lhs != rhs:
-        return _mismatch(f"omega={omega} g1={g1} g2={g2}", rhs, lhs)
-    return None
+        raise _Mismatch(f"omega={omega} g1={g1} g2={g2}", rhs, lhs)
 
 
 @_sampled("apply-closed-form")
-def _apply_closed_form(rng: random.Random) -> Outcome:
+def _apply_closed_form(rng: random.Random) -> None:
     # moderate sizes: the oracle expands the generator word z^c y^b x^a
     omega = aut.Automorphism(
         _rand_matrix(rng, max_len=6), _rand_int(rng, 30), _rand_int(rng, 30)
@@ -424,64 +416,61 @@ def _apply_closed_form(rng: random.Random) -> Outcome:
     )
     got = aut.apply(omega, g)
     if got != expected:
-        return _mismatch(f"omega={omega} g={g}", expected, got)
-    return None
+        raise _Mismatch(f"omega={omega} g={g}", expected, got)
 
 
 @_sampled("compose-pointwise")
-def _compose_pointwise(rng: random.Random) -> Outcome:
+def _compose_pointwise(rng: random.Random) -> None:
     omega1, omega2 = _rand_aut(rng), _rand_aut(rng)
     g = _rand_element(rng)
     lhs = aut.apply(aut.compose(omega2, omega1), g)
     rhs = aut.apply(omega2, aut.apply(omega1, g))
     if lhs != rhs:
-        return _mismatch(f"omega2={omega2} omega1={omega1} g={g}", rhs, lhs)
-    return None
+        raise _Mismatch(f"omega2={omega2} omega1={omega1} g={g}", rhs, lhs)
 
 
 @_sampled("invert-roundtrip")
-def _invert_roundtrip(rng: random.Random) -> Outcome:
+def _invert_roundtrip(rng: random.Random) -> None:
     omega = _rand_aut(rng)
     inv = aut.invert(omega)
-    for left, right in ((inv, omega), (omega, inv)):
-        if aut.compose(left, right) != aut.IDENTITY_AUT:
-            return _mismatch(
-                f"omega={omega}", aut.IDENTITY_AUT, aut.compose(left, right))
-    if aut.invert(inv) != omega:
-        return _mismatch(f"double inverse omega={omega}", omega, aut.invert(inv))
-    return None
+    for order, left, right in (("invert(omega) o omega", inv, omega),
+                               ("omega o invert(omega)", omega, inv)):
+        product = aut.compose(left, right)
+        if product != aut.IDENTITY_AUT:
+            raise _Mismatch(f"{order} omega={omega}", aut.IDENTITY_AUT, product)
+    double = aut.invert(inv)
+    if double != omega:
+        raise _Mismatch(f"double inverse omega={omega}", omega, double)
 
 
 @_sampled("rd-hom")
-def _rd_hom(rng: random.Random) -> Outcome:
+def _rd_hom(rng: random.Random) -> None:
     d1, d2 = _rand_int(rng, D_BOUND), _rand_int(rng, D_BOUND)
-    if aut.compose(aut.rd(d1), aut.rd(d2)) != aut.rd(d1 + d2):
-        return _mismatch(
-            f"d1={d1} d2={d2}", aut.rd(d1 + d2), aut.compose(aut.rd(d1), aut.rd(d2)))
+    composed, summed = aut.compose(aut.rd(d1), aut.rd(d2)), aut.rd(d1 + d2)
+    if composed != summed:
+        raise _Mismatch(f"d1={d1} d2={d2}", summed, composed)
     g = _rand_element(rng)
     expected = heis.HeisElement(
         g.a + d1 * g.b, g.b, g.c + (g.b * (g.b - 1) // 2) * d1
     )
     got = aut.apply(aut.rd(d1), g)
     if got != expected:
-        return _mismatch(f"shear formula d={d1} g={g}", expected, got)
-    return None
+        raise _Mismatch(f"shear formula d={d1} g={g}", expected, got)
 
 
 @_sampled("inner-conjugation")
-def _inner_conjugation(rng: random.Random) -> Outcome:
+def _inner_conjugation(rng: random.Random) -> None:
     v = _rand_vector(rng)
     g = _rand_element(rng)
     h = heis.HeisElement(v.p, v.q, 0)
     conjugated = heis.multiply(heis.multiply(h, g), heis.inverse(h))
-    got = aut.apply(aut.inner(v), g)
+    inner = aut.inner(v)
+    got = aut.apply(inner, g)
     if got != conjugated:
-        return _mismatch(f"v={v} g={g}", conjugated, got)
-    if aut.project(aut.inner(v)) != gl2.IDENTITY:
-        return _mismatch(f"projection v={v}", gl2.IDENTITY, aut.project(aut.inner(v)))
-    return None
-
-
+        raise _Mismatch(f"v={v} g={g}", conjugated, got)
+    projected = aut.project(inner)
+    if projected != gl2.IDENTITY:
+        raise _Mismatch(f"projection v={v}", gl2.IDENTITY, projected)
 @_static("relations")
 def _relations() -> list[tuple[str, str, str]]:
     failures = []
@@ -523,17 +512,16 @@ def _relations() -> list[tuple[str, str, str]]:
 
 
 @_sampled("section-hom")
-def _section_hom(rng: random.Random) -> Outcome:
+def _section_hom(rng: random.Random) -> None:
     m1, m2 = _rand_matrix(rng), _rand_matrix(rng)
     lhs = aut.section(gl2.mat_multiply(m1, m2))
     rhs = aut.compose(aut.section(m1), aut.section(m2))
     if lhs != rhs:
-        return _mismatch(f"M1={m1} M2={m2}", rhs, lhs)
-    return None
+        raise _Mismatch(f"M1={m1} M2={m2}", rhs, lhs)
 
 
 @_sampled("section-welldef")
-def _section_welldef(rng: random.Random) -> Outcome:
+def _section_welldef(rng: random.Random) -> None:
     # the closed form against the generic fold over two different words
     m = _rand_matrix(rng)
     closed = aut.section(m)
@@ -542,40 +530,37 @@ def _section_welldef(rng: random.Random) -> Outcome:
         w = gl2.decompose(m, strategy)
         folded = sigma0.eval_letters(w.letters)
         if folded != closed:
-            return _mismatch(f"strategy={strategy} M={m} word={w}", folded, closed)
-    return None
+            raise _Mismatch(f"strategy={strategy} M={m} word={w}", folded, closed)
 
 
 @_sampled("project-section")
-def _project_section(rng: random.Random) -> Outcome:
+def _project_section(rng: random.Random) -> None:
     m = _rand_matrix(rng)
     got = aut.project(aut.section(m))
     if got != m:
-        return _mismatch(f"M={m}", m, got)
-    return None
+        raise _Mismatch(f"M={m}", m, got)
 
 
 @_sampled("exactness")
-def _exactness(rng: random.Random) -> Outcome:
+def _exactness(rng: random.Random) -> None:
     r, u = _rand_int(rng), _rand_int(rng)
     omega = aut.Automorphism(gl2.IDENTITY, r, u)
     expected = aut.inner(aut.InnerVector(u, -r))
     if omega != expected:
-        return _mismatch(f"kernel element r={r} u={u}", expected, omega)
+        raise _Mismatch(f"kernel element r={r} u={u}", expected, omega)
     v1, v2 = _rand_vector(rng), _rand_vector(rng)
-    if (aut.inner(v1) == aut.inner(v2)) != (v1 == v2):
-        return _mismatch(f"injectivity v1={v1} v2={v2}", v1 == v2,
-                         aut.inner(v1) == aut.inner(v2))
-    return None
+    same, same_image = v1 == v2, aut.inner(v1) == aut.inner(v2)
+    if same_image != same:
+        raise _Mismatch(f"injectivity v1={v1} v2={v2}", same, same_image)
 
 
 @_sampled("normal-form")
-def _normal_form(rng: random.Random) -> Outcome:
+def _normal_form(rng: random.Random) -> None:
     v, m = _rand_vector(rng), _rand_matrix(rng)
     omega = aut.compose(aut.inner(v), aut.section(m))
-    got_v, got_m = aut.normal_form(omega)
-    if (got_v, got_m) != (v, m):
-        return _mismatch(f"v={v} M={m}", (v, m), (got_v, got_m))
+    got = aut.normal_form(omega)
+    if got != (v, m):
+        raise _Mismatch(f"v={v} M={m}", (v, m), got)
     omega2 = _rand_aut(rng, max_len=8)
     v2, m2 = aut.normal_form(omega2)
     # the closed-form solve against the compose route: the residual
@@ -583,40 +568,37 @@ def _normal_form(rng: random.Random) -> Outcome:
     delta = aut.compose(omega2, aut.invert(aut.section(m2)))
     via_compose = aut.InnerVector(delta.u, -delta.r)
     if v2 != via_compose:
-        return _mismatch(f"compose route omega={omega2}", via_compose, v2)
+        raise _Mismatch(f"compose route omega={omega2}", via_compose, v2)
     rebuilt = aut.compose(aut.inner(v2), aut.section(m2))
     if rebuilt != omega2:
-        return _mismatch(f"rebuild omega={omega2}", omega2, rebuilt)
+        raise _Mismatch(f"rebuild omega={omega2}", omega2, rebuilt)
     # power's closed form inner(S_n v) o section(M^n) against compose
     n = _rand_int(rng, 50)
     got, expected = aut.power(omega2, n), aut._compose_power(omega2, n)
     if got != expected:
-        return _mismatch(f"power omega={omega2} n={n}", expected, got)
-    return None
+        raise _Mismatch(f"power omega={omega2} n={n}", expected, got)
 
 
 @_sampled("naturality")
-def _naturality(rng: random.Random) -> Outcome:
+def _naturality(rng: random.Random) -> None:
     m, v = _rand_matrix(rng), _rand_vector(rng)
     sigma_m = aut.section(m)
     lhs = aut.compose(sigma_m, aut.compose(aut.inner(v), aut.invert(sigma_m)))
     rhs = aut.inner(aut.act(m, v))
     if lhs != rhs:
-        return _mismatch(f"M={m} v={v}", rhs, lhs)
-    return None
+        raise _Mismatch(f"M={m} v={v}", rhs, lhs)
 
 
 @_sampled("center-det")
-def _center_det(rng: random.Random) -> Outcome:
+def _center_det(rng: random.Random) -> None:
     omega = _rand_aut(rng)
-    if aut.center_image(omega) != omega.matrix.det:
-        return _mismatch(
-            f"omega={omega}", omega.matrix.det, aut.center_image(omega))
+    image = aut.center_image(omega)
+    if image != omega.matrix.det:
+        raise _Mismatch(f"omega={omega}", omega.matrix.det, image)
     fixes_z = aut.apply(omega, heis.Z) == heis.Z
-    if aut.is_aut_plus(omega) != fixes_z:
-        return _mismatch(f"omega={omega}", f"fixes z: {fixes_z}",
-                         f"is_aut_plus: {aut.is_aut_plus(omega)}")
-    return None
+    plus = aut.is_aut_plus(omega)
+    if plus != fixes_z:
+        raise _Mismatch(f"omega={omega}", f"fixes z: {fixes_z}", f"is_aut_plus: {plus}")
 
 
 # ---------------------------------------------------------------------------
@@ -678,17 +660,18 @@ def _linear_violation(
     return None
 
 
+
+
 @_sampled("coboundary-roundtrip")
-def _coboundary_roundtrip(rng: random.Random) -> Outcome:
+def _coboundary_roundtrip(rng: random.Random) -> None:
     a1, a2 = _rand_vector(rng), _rand_vector(rng)
     got = cocycles.solve_coboundary(cocycles.coboundary(a1))
     if got != a1:
-        return _mismatch(f"a={a1}", a1, got)
+        raise _Mismatch(f"a={a1}", a1, got)
     additive = cocycles.coboundary(a1) + cocycles.coboundary(a2)
-    if additive != cocycles.coboundary(a1 + a2):
-        return _mismatch(
-            f"additivity a1={a1} a2={a2}", cocycles.coboundary(a1 + a2), additive)
-    return None
+    joint = cocycles.coboundary(a1 + a2)
+    if additive != joint:
+        raise _Mismatch(f"additivity a1={a1} a2={a2}", joint, additive)
 
 
 def _fold(phi: cocycles.Cocycle, w: gl2.GeneratorWord) -> aut.InnerVector:
@@ -697,7 +680,7 @@ def _fold(phi: cocycles.Cocycle, w: gl2.GeneratorWord) -> aut.InnerVector:
 
 
 @_sampled("cocycle-extend")
-def _cocycle_extend(rng: random.Random) -> Outcome:
+def _cocycle_extend(rng: random.Random) -> None:
     # the closed form M.a - a against the relator fold
     a = _rand_vector(rng)
     phi = cocycles.coboundary(a)
@@ -707,18 +690,17 @@ def _cocycle_extend(rng: random.Random) -> Outcome:
     expected = _fold(phi, w1)
     got = cocycles.extend(phi, w1)
     if got != expected:
-        return _mismatch(f"fold over w for a={a} w={w1}", expected, got)
+        raise _Mismatch(f"fold over w for a={a} w={w1}", expected, got)
     # cocycle identity over concatenation
     lhs = cocycles.extend(phi, w1 * w2)
     rhs = cocycles.extend(phi, w1) + aut.act(m1, cocycles.extend(phi, w2))
     if lhs != rhs:
-        return _mismatch(f"concatenation a={a} w1={w1} w2={w2}", rhs, lhs)
+        raise _Mismatch(f"concatenation a={a} w1={w1} w2={w2}", rhs, lhs)
     # word independence: the fold over another word for the same matrix
     alt = gl2.decompose(m1, "right")
     got_alt = _fold(phi, alt)
     if got_alt != got:
-        return _mismatch(f"word independence a={a} M={m1} word={alt}", got, got_alt)
-    return None
+        raise _Mismatch(f"word independence a={a} M={m1} word={alt}", got, got_alt)
 
 
 def _difference_by_compose(
@@ -732,66 +714,58 @@ def _difference_by_compose(
 
 
 @_sampled("section-twist")
-def _section_twist(rng: random.Random) -> Outcome:
+def _section_twist(rng: random.Random) -> None:
     a = _rand_vector(rng)
     phi = cocycles.coboundary(a)
     sigma0 = cocycles.canonical_section()
     twisted = cocycles.twist(sigma0, phi)  # constructor re-checks relators
     diff = cocycles.section_difference(twisted, sigma0)
     if diff != phi:
-        return _mismatch(f"twist/diff roundtrip a={a}", phi, diff)
+        raise _Mismatch(f"twist/diff roundtrip a={a}", phi, diff)
     # the closed form against the generator-wise compose route
     for order, alpha2, alpha1 in (("twisted, sigma0", twisted, sigma0),
                                   ("sigma0, twisted", sigma0, twisted)):
         expected = _difference_by_compose(alpha2, alpha1)
         got = cocycles.section_difference(alpha2, alpha1)
         if got != expected:
-            return _mismatch(f"diff({order}) by compose a={a}", expected, got)
-    if cocycles.section_difference(sigma0, sigma0) != cocycles.ZERO_COCYCLE:
-        return _mismatch("diff(sigma, sigma)", cocycles.ZERO_COCYCLE,
-                         cocycles.section_difference(sigma0, sigma0))
+            raise _Mismatch(f"diff({order}) by compose a={a}", expected, got)
+    same = cocycles.section_difference(sigma0, sigma0)
+    if same != cocycles.ZERO_COCYCLE:
+        raise _Mismatch("diff(sigma, sigma)", cocycles.ZERO_COCYCLE, same)
     m = _rand_matrix(rng, max_len=8)
     at_m = twisted.at(m)
-    if aut.project(at_m) != m:
-        return _mismatch(f"twisted section over M={m}", m, aut.project(at_m))
+    projected = aut.project(at_m)
+    if projected != m:
+        raise _Mismatch(f"twisted section over M={m}", m, projected)
     # the closed form of at() against the generic fold over a word, and
     # the relators at the automorphism level through the same fold
     w = gl2.decompose(m, "right")
     folded = twisted.eval_letters(w.letters)
     if at_m != folded:
-        return _mismatch(f"twisted at a={a} M={m} word={w}", folded, at_m)
+        raise _Mismatch(f"twisted at a={a} M={m} word={w}", folded, at_m)
     for name, pairs in gl2.RELATORS:
         product = twisted.eval_letters(pairs)
         if product != aut.IDENTITY_AUT:
-            return _mismatch(f"twisted relator {name} a={a}",
-                             aut.IDENTITY_AUT, product)
-    return None
+            raise _Mismatch(f"twisted relator {name} a={a}", aut.IDENTITY_AUT, product)
 
 
 # ---------------------------------------------------------------------------
 # syntax suite
 
 @_sampled("parse-roundtrip")
-def _parse_roundtrip(rng: random.Random) -> Outcome:
-    g = _rand_element(rng)
-    if heis.parse_element(heis.format_element(g)) != g:
-        return _mismatch(f"element {g}", g, heis.parse_element(heis.format_element(g)))
-    m = _rand_matrix(rng)
-    if gl2.parse_matrix(gl2.format_matrix(m)) != m:
-        return _mismatch(f"matrix {m}", m, gl2.parse_matrix(gl2.format_matrix(m)))
-    w = _rand_word(rng)
-    if gl2.parse_word(gl2.format_word(w)) != w:
-        return _mismatch(f"word {w}", w, gl2.parse_word(gl2.format_word(w)))
-    omega = _rand_aut(rng)
-    if aut.parse_automorphism(aut.format_automorphism(omega)) != omega:
-        return _mismatch(f"automorphism {omega}", omega,
-                         aut.parse_automorphism(aut.format_automorphism(omega)))
+def _parse_roundtrip(rng: random.Random) -> None:
+    g, m, w, omega = (_rand_element(rng), _rand_matrix(rng), _rand_word(rng),
+                      _rand_aut(rng))
     phi = cocycles.coboundary(_rand_vector(rng))
-    if cocycles.parse_cocycle(cocycles.format_cocycle(phi)) != phi:
-        return _mismatch(f"cocycle {phi}", phi,
-                         cocycles.parse_cocycle(cocycles.format_cocycle(phi)))
     alpha = cocycles.twist(cocycles.canonical_section(), phi)
-    if cocycles.parse_section(cocycles.format_section(alpha)) != alpha:
-        return _mismatch(f"section {alpha}", alpha,
-                         cocycles.parse_section(cocycles.format_section(alpha)))
-    return None
+    for kind, value, format_, parse in (
+        ("element", g, heis.format_element, heis.parse_element),
+        ("matrix", m, gl2.format_matrix, gl2.parse_matrix),
+        ("word", w, gl2.format_word, gl2.parse_word),
+        ("automorphism", omega, aut.format_automorphism, aut.parse_automorphism),
+        ("cocycle", phi, cocycles.format_cocycle, cocycles.parse_cocycle),
+        ("section", alpha, cocycles.format_section, cocycles.parse_section),
+    ):
+        back = parse(format_(value))
+        if back != value:
+            raise _Mismatch(f"{kind} {value}", value, back)

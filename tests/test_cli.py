@@ -80,6 +80,19 @@ class TestErrors:
         monkeypatch.setattr(heis, "inverse", inverse)
         assert run(capsys, "elem", "inv", "(0,0,0)") == (1, "", "")
 
+    def test_usage_error_stays_on_one_line(self, capsys):
+        # argparse echoes unrecognized arguments raw; each character that
+        # splitlines breaks on is written as its backslash escape
+        breaks = [c for c in map(chr, range(0x110000))
+                  if len(f"x{c}y".splitlines()) > 1]
+        assert len(breaks) == 10
+        for c in breaks:
+            with pytest.raises(SystemExit) as info:
+                cli.main(["elem", "inv", "(1,0,0)", f"x{c}y"])
+            assert info.value.code == 1
+            assert capsys.readouterr().err.splitlines()[-1] == (
+                f"heis-aut: error: unrecognized arguments: x{ascii(c)[1:-1]}y")
+
     @pytest.mark.parametrize("argv", [
         # over the 8 KiB stdout buffer: print() itself hits the closed pipe
         ("elem", "pow", "(1,1,0)", "1" + "0" * 6000),
@@ -305,7 +318,7 @@ class TestVerify:
 
     def test_failing_suite_exits_2(self, capsys, monkeypatch):
         def bad_sample(rng):
-            return (f"n={rng.randint(0, 9)}", "0", "1")
+            raise verify._Mismatch(f"n={rng.randint(0, 9)}", "0", "1")
 
         monkeypatch.setitem(
             verify._SUITES, "always-fails",

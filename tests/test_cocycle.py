@@ -155,7 +155,7 @@ class TestCoboundary:
         assert solve_coboundary(phi) == InnerVector(3, -2)
 
     @given(vectors, matrices)
-    @settings(max_examples=60)
+    @settings(max_examples=settings().max_examples * 3 // 5)
     def test_matches_group_formula(self, a, m):
         # coboundary of a evaluated on any word w is w.a - a
         phi = coboundary(a)
@@ -175,7 +175,7 @@ class TestExtend:
             assert extend(phi, gl2.parse_word(text)) == phi.value(sym)
 
     @given(cocycles, words, words)
-    @settings(max_examples=60)
+    @settings(max_examples=settings().max_examples * 3 // 5)
     def test_cocycle_identity_on_concatenation(self, phi, w1, w2):
         lhs = extend(phi, w1 * w2)
         rhs = extend(phi, w1) + act(gl2.eval_word(w1), extend(phi, w2))
@@ -187,7 +187,7 @@ class TestExtend:
             brute_extend(phi, raw)
 
     @given(cocycles, matrices)
-    @settings(max_examples=60)
+    @settings(max_examples=settings().max_examples * 3 // 5)
     def test_word_independent(self, phi, m):
         left = gl2.decompose(m, strategy="left")
         right = gl2.decompose(m, strategy="right")
@@ -283,7 +283,7 @@ class TestLinearCheckAtLargeSize:
     @given(st.lists(mixed, min_size=6, max_size=6),
            st.sampled_from(("free", "lattice", "nudged")),
            st.integers(min_value=0, max_value=5), st.sampled_from((1, -1)))
-    @settings(max_examples=150)
+    @settings(max_examples=settings().max_examples * 3 // 2)
     def test_accepts_exactly_the_lattice(self, coords, kind, slot, delta):
         if kind != "free":
             coords[1] = coords[2] = coords[5] = 0
@@ -304,7 +304,7 @@ class TestLinearCheckAtLargeSize:
             assert coboundary(solve_coboundary(phi)) == phi
 
     @given(huge_vectors)
-    @settings(max_examples=40)
+    @settings(max_examples=settings().max_examples * 2 // 5)
     def test_accepts_coboundaries(self, a):
         phi = coboundary(a)
         triple = (phi.v_rho, phi.v_tau, phi.v_kappa)
@@ -315,7 +315,7 @@ class TestLinearCheckAtLargeSize:
     # slot 0 (rho.p) is left out: shifting it adds the coboundary of (0, 1)
     @given(huge_vectors, st.integers(min_value=1, max_value=5),
            huge.filter(bool))
-    @settings(max_examples=60)
+    @settings(max_examples=settings().max_examples * 3 // 5)
     def test_rejects_perturbed_like_the_fold(self, a, slot, delta):
         phi = coboundary(a)
         coords = [c for v in (phi.v_rho, phi.v_tau, phi.v_kappa)
@@ -415,7 +415,7 @@ class TestTwist:
         return Cocycle(*values)
 
     @given(huge_vectors, huge_vectors)
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=settings().max_examples * 2 // 5, deadline=None)
     def test_difference_closed_form_matches_compose_route(self, a1, a2):
         alpha1 = twist(canonical_section(), coboundary(a1))
         alpha2 = twist(canonical_section(), coboundary(a2))
@@ -425,13 +425,13 @@ class TestTwist:
         assert section_difference(alpha2, alpha1) == coboundary(a2 - a1)
 
     @given(cocycles, matrices)
-    @settings(max_examples=60)
+    @settings(max_examples=settings().max_examples * 3 // 5)
     def test_twisted_section_still_splits(self, phi, m):
         twisted = twist(canonical_section(), phi)
         assert project(twisted.at(m)) == m
 
     @given(cocycles, matrices)
-    @settings(max_examples=60)
+    @settings(max_examples=settings().max_examples * 3 // 5)
     def test_twisted_at_matches_word_fold(self, phi, m):
         twisted = twist(canonical_section(), phi)
         for strategy in ("left", "right"):
@@ -439,7 +439,7 @@ class TestTwist:
             assert twisted.at(m) == twisted.eval_letters(word.letters)
 
     @given(cocycles, matrices)
-    @settings(max_examples=40)
+    @settings(max_examples=settings().max_examples * 2 // 5)
     def test_twisted_section_formula(self, phi, m):
         # the twisted section differs from the canonical one by the
         # inner automorphism attached to the extended cocycle value

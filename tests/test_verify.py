@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from heisaut import aut, cli, cocycles, verify
+from heisaut import aut, cli, cocycles, heis, verify
 
 
 @pytest.fixture
@@ -123,6 +123,42 @@ def test_raising_static_suite_is_a_failure(monkeypatch):
     (result,) = verify.run(["relations"], samples=5).results
     assert (result.samples, result.failures) == (
         1, (verify.Failure(0, "static suite", "no exception", "ValueError: boom"),))
+
+
+def test_identity_law_reports_the_failed_product(monkeypatch):
+    # only e*g is wrong: the report used to show g*e, which equals g
+    multiply = heis.multiply
+
+    def wrong_left_identity(g, h):
+        return multiply(heis.Z if g == heis.IDENTITY else g, h)
+
+    monkeypatch.setattr(heis, "multiply", wrong_left_identity)
+    (failure,) = verify.run(["group-axioms"], samples=1, seed=0).results[0].failures
+    assert failure.actual != failure.expected
+    assert failure.inputs.startswith("identity law e*g ")
+
+
+@pytest.mark.parametrize("order", ["g*g^-1", "g^-1*g"])
+def test_inverse_law_reports_the_failed_order(monkeypatch, order):
+    # only the product with the inverse on one side is wrong
+    multiply, inverse = heis.multiply, heis.inverse
+    inverses = []
+
+    def recorded_inverse(g):
+        inverses.append(inverse(g))
+        return inverses[-1]
+
+    def wrong_on_one_side(g, h):
+        side = h if order == "g*g^-1" else g
+        if any(side is inv for inv in inverses):
+            return multiply(multiply(g, h), heis.Z)
+        return multiply(g, h)
+
+    monkeypatch.setattr(heis, "inverse", recorded_inverse)
+    monkeypatch.setattr(heis, "multiply", wrong_on_one_side)
+    (failure,) = verify.run(["group-axioms"], samples=1, seed=0).results[0].failures
+    assert failure.inputs.startswith(f"inverse law {order} ")
+    assert (failure.expected, failure.actual) == ("(0,0,0)", "(0,0,1)")
 
 
 # sha256 of the samplers' output below, as the code gave it when the
