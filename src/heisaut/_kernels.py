@@ -2,8 +2,11 @@
 
 A formula used in one place lives in its caller; only the shared ones
 are here, so that each is written once.  Today that is the 2x2 matrix
-product, which gl2.mat_multiply and aut.compose both use; aut's
-center-offset formulas are specialized to each caller (see aut.apply).
+product, which gl2.mat_multiply and the run products of gl2.eval_letters
+both use.  aut.compose multiplies the matrices inside its own plain-int
+core (aut._compose_data), next to the center offsets that reuse the
+product's entries; aut's offset formulas are specialized to each caller
+(see aut.apply).
 The value modules reach the kernels through ``heisaut._backend``.
 They operate on plain Python integers (arbitrary precision, never
 truncated).

@@ -37,14 +37,21 @@ offset is
 apply and compose compute P and Q anyway, as coordinates of the image
 or entries of the matrix product.  compose uses the two bracketed
 factors for both columns, and in invert P*Q = 0.
+
+compose and invert run on the plain-int data (m11, m12, m21, m22, r, u)
+of an automorphism, in the private cores _compose_data and _invert_data.
+The word folds (_compose_power and SectionOnGenerators.eval_letters,
+both through _product_of_powers) fold that data through the same cores
+and build one value at the end; they stay "compose only", independent
+of section() and power().
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 
 from . import gl2
-from ._backend import kernels
 from .gl2 import Gl2Matrix, _affine_power
 from .heis import _INT, HeisElement, _check_int, _expect, _Value
 
@@ -164,23 +171,44 @@ def compose(omega2: Automorphism, omega1: Automorphism) -> Automorphism:
     for y with (m12, m22).  In t's product form, (P, Q) = N (a, b) is
     the matching column of N*M, and the factors 2*r2 - n11*n21 and
     2*u2 - n12*n22 are the same for both columns.  N*M has det +-1, and
-    any integer offsets make an automorphism.
+    any integer offsets make an automorphism.  The formula runs on the
+    plain-int data in _compose_data, the core the word folds share.
 
     >>> compose(IDENTITY_AUT, rd(7)) == rd(7)
     True
     """
     _expect(omega2, Automorphism, "omega2")
     _expect(omega1, Automorphism, "omega1")
-    n, m = omega2.matrix, omega1.matrix
-    n11, n12, n21, n22 = n.m11, n.m12, n.m21, n.m22
-    m11, m12, m21, m22 = m.m11, m.m12, m.m21, m.m22
-    p11, p12, p21, p22 = kernels.mat_mul(n11, n12, n21, n22, m11, m12, m21, m22)
+    return _of_data(_compose_data(_data(omega2), _data(omega1)))
+
+
+_IDENTITY_DATA = (1, 0, 0, 1, 0, 0)
+
+
+def _data(omega: Automorphism) -> tuple[int, ...]:
+    m = omega.matrix
+    return m.m11, m.m12, m.m21, m.m22, omega.r, omega.u
+
+
+def _of_data(t: tuple[int, ...]) -> Automorphism:
+    # the data comes from valid automorphisms through _compose_data and
+    # _invert_data, whose results are automorphisms (see compose, invert)
+    m11, m12, m21, m22, r, u = t
+    return Automorphism._of(Gl2Matrix._of(m11, m12, m21, m22), r, u)
+
+
+def _compose_data(n: tuple[int, ...], m: tuple[int, ...]) -> tuple[int, ...]:
+    # compose's product form on data (m11, m12, m21, m22, r, u):
+    # n is omega2's, m is omega1's
+    n11, n12, n21, n22, r2, u2 = n
+    m11, m12, m21, m22, r1, u1 = m
+    p11, p12 = n11 * m11 + n12 * m21, n11 * m12 + n12 * m22
+    p21, p22 = n21 * m11 + n22 * m21, n21 * m12 + n22 * m22
     d = n11 * n22 - n12 * n21
-    x, y = 2 * omega2.r - n11 * n21, 2 * omega2.u - n12 * n22
-    return Automorphism._of(
-        Gl2Matrix._of(p11, p12, p21, p22),
-        d * omega1.r + (m11 * x + m21 * y + p11 * p21 - d * m11 * m21) // 2,
-        d * omega1.u + (m12 * x + m22 * y + p12 * p22 - d * m12 * m22) // 2)
+    x, y = 2 * r2 - n11 * n21, 2 * u2 - n12 * n22
+    return (p11, p12, p21, p22,
+            d * r1 + (m11 * x + m21 * y + p11 * p21 - d * m11 * m21) // 2,
+            d * u1 + (m12 * x + m22 * y + p12 * p22 - d * m12 * m22) // 2)
 
 
 def invert(omega: Automorphism) -> Automorphism:
@@ -198,15 +226,18 @@ def invert(omega: Automorphism) -> Automorphism:
     True
     """
     _expect(omega, Automorphism, "omega")
-    m = omega.matrix
-    m11, m12, m21, m22 = m.m11, m.m12, m.m21, m.m22
+    return _of_data(_invert_data(_data(omega)))
+
+
+def _invert_data(t: tuple[int, ...]) -> tuple[int, ...]:
+    # invert's formula on data (m11, m12, m21, m22, r, u)
+    m11, m12, m21, m22, r, u = t
     d = m11 * m22 - m12 * m21
     n11, n12, n21, n22 = d * m22, -d * m12, -d * m21, d * m11
-    x, y = 2 * omega.r - m11 * m21, 2 * omega.u - m12 * m22
-    return Automorphism._of(
-        Gl2Matrix._of(n11, n12, n21, n22),
-        -d * ((n11 * x + n21 * y - d * n11 * n21) // 2),
-        -d * ((n12 * x + n22 * y - d * n12 * n22) // 2))
+    x, y = 2 * r - m11 * m21, 2 * u - m12 * m22
+    return (n11, n12, n21, n22,
+            -d * ((n11 * x + n21 * y - d * n11 * n21) // 2),
+            -d * ((n12 * x + n22 * y - d * n12 * n22) // 2))
 
 
 def power(omega: Automorphism, n: int) -> Automorphism:
@@ -247,22 +278,36 @@ def _compose_power(omega: Automorphism, n: int) -> Automorphism:
     """omega^n by square-and-multiply over compose, one compose per bit.
 
     The generic route, independent of section() and normal_form(): the
-    oracle for power() in verify and the power behind
-    SectionOnGenerators.eval_letters.  The product starts from its first
-    factor, not from a compose with IDENTITY_AUT, so |n| = 1 makes no
-    compose at all; n = 0 gives IDENTITY_AUT.
+    oracle for power() in verify.  n = 0 gives the identity.
     """
-    _check_int(n, "n")
+    return _product_of_powers(((omega, n),))
+
+
+def _product_of_powers(factors: Iterable[tuple[Automorphism, int]]) -> Automorphism:
+    # the product of omega^n over the (omega, n) in order, folded on data
+    # through compose's core and built once; no factors give the identity
+    result = None
+    for omega, n in factors:
+        factor = _power_data(_data(omega), n)
+        result = factor if result is None else _compose_data(result, factor)
+    return IDENTITY_AUT if result is None else _of_data(result)
+
+
+def _power_data(t: tuple[int, ...], n: int) -> tuple[int, ...]:
+    # t^n on data: negative n inverts first; the product starts from its
+    # first factor, so |n| = 1 makes no compose at all
+    if type(n) is not int:
+        _check_int(n, "n")
     if n < 0:
-        omega, n = invert(omega), -n
-    result, base = None, omega
+        t, n = _invert_data(t), -n
+    result = None
     while n:
         if n & 1:
-            result = base if result is None else compose(result, base)
+            result = t if result is None else _compose_data(result, t)
         n >>= 1
         if n:
-            base = compose(base, base)
-    return IDENTITY_AUT if result is None else result
+            t = _compose_data(t, t)
+    return _IDENTITY_DATA if result is None else result
 
 
 def rd(d: int) -> Automorphism:

@@ -34,12 +34,11 @@ from typing import Sequence
 
 from . import gl2
 from .aut import (
-    IDENTITY_AUT,
     ZERO_VECTOR,
     Automorphism,
     InnerVector,
     _PAIR,
-    _compose_power,
+    _product_of_powers,
     act,
     compose,
     inner,
@@ -81,22 +80,28 @@ def _decimal_or_bits(n: int) -> str:
         return f"{'-' if n < 0 else ''}<{n.bit_length()}-bit int>"
 
 
+# the entries of A, B and D, in the order rho, tau, kappa
+_GENERATOR_ENTRIES = tuple(m.entries() for m in gl2.GENERATORS.values())
+
+
 def _phi_power(
-    mat: Gl2Matrix, val: InnerVector, exp: int
-) -> tuple[InnerVector, Gl2Matrix]:
-    """(phi(l^exp), L^exp) given phi(l) = val, by the cocycle identity.
+    mat: tuple[int, ...], val: tuple[int, int], exp: int
+) -> tuple[tuple[int, int], tuple[int, ...]]:
+    """(phi(l^exp), L^exp) given phi(l) = val, by the cocycle identity, on
+    plain ints: L's entries (m11, m12, m21, m22) and pairs (p, q).
 
     phi(l^j l^k) = phi(l^j) + L^j.phi(l^k) is the recurrence of the
     powers of the affine map x -> L x + val, so for k >= 0 the pair is
     (S_k val, L^k) from gl2._affine_power, in O(log k) exact steps; and
     phi(l^-k) = -L^-k.phi(l^k).
     """
-    p_entries, (vp, vq) = _affine_power(mat.entries(), (val.p, val.q), abs(exp))
-    v, p = InnerVector(vp, vq), Gl2Matrix(*p_entries)
+    p, (vp, vq) = _affine_power(mat, val, abs(exp))
     if exp < 0:
-        pinv = gl2.mat_inverse(p)
-        return -act(pinv, v), pinv
-    return v, p
+        m11, m12, m21, m22 = p
+        d = m11 * m22 - m12 * m21
+        n11, n12, n21, n22 = d * m22, -d * m12, -d * m21, d * m11
+        return (-(n11 * vp + n12 * vq), -(n21 * vp + n22 * vq)), (n11, n12, n21, n22)
+    return (vp, vq), p
 
 
 def _extend_values(
@@ -106,15 +111,17 @@ def _extend_values(
     pairs: tuple[LetterPair, ...],
 ) -> InnerVector:
     # phi(g l^e) = phi(g) + g.phi(l^e), folded left to right over raw
-    # letters (no normalization, so relator checks stay meaningful)
-    values = {_RHO: v_rho, _TAU: v_tau, _KAPPA: v_kappa}
-    total = ZERO_VECTOR
-    prefix = gl2.IDENTITY
+    # letters (no normalization, so relator checks stay meaningful), on
+    # plain ints: the running total (t1, t2) and the prefix matrix g
+    data = [(m, (v.p, v.q)) for m, v in
+            zip(_GENERATOR_ENTRIES, (v_rho, v_tau, v_kappa))]
+    t1, t2, g11, g12, g21, g22 = 0, 0, 1, 0, 0, 1
     for sym, exp in pairs:
-        contrib, mat_power = _phi_power(gl2.GENERATORS[sym], values[sym], exp)
-        total = total + act(prefix, contrib)
-        prefix = prefix * mat_power
-    return total
+        (c1, c2), (l11, l12, l21, l22) = _phi_power(*_by_letter(sym, *data), exp)
+        t1, t2 = t1 + g11 * c1 + g12 * c2, t2 + g21 * c1 + g22 * c2
+        g11, g12, g21, g22 = (g11 * l11 + g12 * l21, g11 * l12 + g12 * l22,
+                              g21 * l11 + g22 * l21, g21 * l12 + g22 * l22)
+    return InnerVector._of(t1, t2)
 
 
 @cache
@@ -387,14 +394,10 @@ class SectionOnGenerators(_Value):
         """Product of the generator values' powers in order, over raw
         letters (no normalization, so kappa^2 stays a real check).  The
         generic word route, kept as the oracle for at() and section(); its
-        powers go through compose only, not through the closed forms.  The
-        product starts from the first letter's power; no letters give
-        IDENTITY_AUT."""
-        result = None
-        for sym, exp in pairs:
-            factor = _compose_power(self.value(sym), exp)
-            result = factor if result is None else compose(result, factor)
-        return IDENTITY_AUT if result is None else result
+        powers and products go through compose's plain-int core only, not
+        through the closed forms, and the one Automorphism is built at the
+        end.  No letters give IDENTITY_AUT."""
+        return _product_of_powers((self.value(sym), exp) for sym, exp in pairs)
 
     def __str__(self) -> str:
         return format_section(self)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import enum
 import re
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import islice
 
 from ._backend import kernels
 from .heis import _INT, _check_int, _expect, _Value
@@ -226,22 +227,13 @@ class GeneratorWord(_Value):
 EMPTY_WORD = GeneratorWord()
 
 
-def eval_letters(pairs: Sequence[LetterPair]) -> Gl2Matrix:
-    """Product of generator powers in order, without normalizing first.
+# the letters folded in one pass by eval_letters; see there
+_RUN = 32
 
-    Each letter multiplies the running product on the right, which is a
-    column operation on plain ints: rho^e adds e times column 1 to
-    column 2, tau^e subtracts e times column 2 from column 1, and kappa^e
-    negates column 1 when e is odd.  Each step keeps det = +-1, so the
-    one Gl2Matrix built at the end skips the determinant check.  A str,
-    a symbol that is not a Letter, or an exponent that is not an
-    int raises TypeError.
 
-    >>> eval_letters(((Letter.RHO, 2), (Letter.TAU, 1))) == A ** 2 * B
-    True
-    """
+def _fold_columns(pairs: Iterable[LetterPair]) -> tuple[int, int, int, int]:
     m11, m12, m21, m22 = 1, 0, 0, 1
-    for sym, exp in _iter_pairs(pairs, "pairs"):
+    for sym, exp in pairs:
         if type(exp) is not int:
             _check_int(exp, "exponent")
         if sym is _RHO:
@@ -253,7 +245,41 @@ def eval_letters(pairs: Sequence[LetterPair]) -> Gl2Matrix:
                 m11, m21 = -m11, -m21
         else:
             raise TypeError(f"word symbol must be a Letter, got {sym!r}")
-    return Gl2Matrix._of(m11, m12, m21, m22)
+    return m11, m12, m21, m22
+
+
+def eval_letters(pairs: Sequence[LetterPair]) -> Gl2Matrix:
+    """Product of generator powers in order, without normalizing first.
+
+    Each letter multiplies the running product on the right, which is a
+    column operation on plain ints: rho^e adds e times column 1 to
+    column 2, tau^e subtracts e times column 2 from column 1, and kappa^e
+    negates column 1 when e is odd.  The entries grow with the word, so
+    one pass costs time quadratic in its length; a word of more than _RUN
+    letters is therefore folded in runs of _RUN letters, and the run
+    products are multiplied pairwise, as a balanced tree whose large
+    products Python's Karatsuba multiplication speeds up.  A non-sequence
+    iterable is read once.
+    Each step keeps det = +-1, so the one Gl2Matrix built at the end
+    skips the determinant check.  A str, a symbol that is not a Letter,
+    or an exponent that is not an int raises TypeError.
+
+    >>> eval_letters(((Letter.RHO, 2), (Letter.TAU, 1))) == A ** 2 * B
+    True
+    """
+    it = _iter_pairs(pairs, "pairs")
+    try:
+        n = len(pairs)
+    except TypeError:  # an iterator: read it once
+        pairs = tuple(it)
+        n, it = len(pairs), iter(pairs)
+    if n <= _RUN:
+        return Gl2Matrix._of(*_fold_columns(it))
+    runs = [_fold_columns(islice(it, _RUN)) for _ in range(0, n, _RUN)]
+    while len(runs) > 1:
+        tail = runs[-1:] if len(runs) % 2 else []
+        runs = [kernels.mat_mul(*x, *y) for x, y in zip(runs[::2], runs[1::2])] + tail
+    return Gl2Matrix._of(*runs[0])
 
 
 def eval_word(w: GeneratorWord) -> Gl2Matrix:

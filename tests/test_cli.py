@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -8,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heisaut import aut, cli, cocycles, gl2, heis, verify
 from heisaut.cocycles import canonical_section, format_section
@@ -659,3 +663,53 @@ def _parse(capsys, parser, argv):
 def test_branch_parser_parses_as_the_whole_tree(capsys, argv):
     assert _parse(capsys, cli.build_parser(argv[:2]), argv) == \
         _parse(capsys, cli.build_parser(), argv)
+
+
+# -- fuzzing the exit-code contract -------------------------------------------
+
+FUZZ_TOKENS = (
+    "--json", "--apply", "--strategy", "left", "right", "--section", "--suite",
+    "--samples", "--seed", "-h", "all", "relations", "cocycle-lattice", "",
+    "(1,2,3)", "(0,1,0)", "(3,-2)", "[[1,1],[0,1]]", "[[2,1],[1,1]]",
+    "[[2,0],[0,1]]", "A B D^-1", "A^x", "{M=[[0,1],[1,0]], r=5, u=7}",
+    "{rho=(0,0), tau=(0,0), kappa=(0,0)}", "{rho=(0,1), tau=(0,0), kappa=(0,0)}",
+    format_section(canonical_section()),
+)
+# the characters of every value syntax, so that near misses are drawn
+FUZZ_ALPHABET = "()[]{},=^-+ 0123456789ABDMruhotaokp_x\n\t\u0663"
+
+
+def command_lines():
+    # a real family and command, then a few tokens; verify starts with a
+    # small sample count, which the drawn tokens can only keep small
+    def line(row, tail):
+        family, command = row
+        if command is None:
+            return [family, "--samples", "2", *tail]
+        return [family, command, *tail]
+
+    rows = [(family, command) for family, command, *_ in cli._commands()]
+    tokens = st.one_of(st.sampled_from(FUZZ_TOKENS),
+                       st.integers(-5, 20).map(str),
+                       st.text(FUZZ_ALPHABET, max_size=24),
+                       st.text(max_size=6))
+    return st.builds(line, st.sampled_from(rows), st.lists(tokens, max_size=5))
+
+
+@settings(max_examples=settings().max_examples * 3, deadline=None)
+@given(command_lines())
+def test_fuzzed_command_lines_keep_the_exit_contract(argv):
+    # exit 0, 1 or 2, never a traceback, and an error is one line after
+    # argparse's usage text
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code:
+        lines = [line for line in err.getvalue().splitlines()
+                 if not line.startswith(("usage:", " "))]
+        assert len(lines) <= 1, lines
