@@ -25,7 +25,9 @@ projection; inner(v) o section(M) moves the two center offsets of
 section(M) by (p*m21 - q*m11, p*m22 - q*m12), a linear system in
 v = (p, q) with determinant det M = +-1, so v is one 2x2 unimodular
 solve (the proof is in normal_form's docstring).  power() works through
-that factorization instead of composing bit by bit.
+that factorization instead of composing bit by bit, and takes M^n and
+S_n v by the conjugacy type of M: O(1) big-int operations for parabolic
+M (every rd(d)) and finite-order M, O(log n) only for hyperbolic M.
 
 apply(), compose() and invert() share one formula for a center offset,
 the c-coordinate omega gives (a, b, 0).  They evaluate it in a product
@@ -52,7 +54,7 @@ import re
 from collections.abc import Iterable
 
 from . import gl2
-from .gl2 import Gl2Matrix, _affine_power
+from .gl2 import Gl2Matrix, _power_by_type
 from .heis import _INT, HeisElement, _check_int, _expect, _Value
 
 
@@ -256,8 +258,10 @@ def power(omega: Automorphism, n: int) -> Automorphism:
                     = inner(v + M S_n v) o section(M^(n+1)),
 
     and v + M S_n v = S_(n+1) v.  (M^n, S_n v) is the n-th power of the
-    affine map x -> M x + v, computed by gl2._affine_power on plain ints in
-    O(log n) steps; one compose assembles the result.
+    affine map x -> M x + v, computed by gl2._power_by_type on plain ints:
+    O(1) big-int operations for parabolic and finite-order M, O(log n)
+    only for hyperbolic M.  The offsets of inner(S_n v) o section(M^n)
+    then follow from section's, as in normal_form's proof.
 
     >>> power(rd(3), 5) == rd(15)
     True
@@ -266,12 +270,15 @@ def power(omega: Automorphism, n: int) -> Automorphism:
     """
     _expect(omega, Automorphism, "omega")
     _check_int(n, "n")
+    t = _data(omega)
     if n < 0:
-        omega, n = invert(omega), -n
-    v, m = normal_form(omega)
-    mn, sv = _affine_power(m.entries(), (v.p, v.q), n)
-    # M^n has det (det M)^n = +-1, and S_n v has int coordinates
-    return compose(inner(InnerVector._of(*sv)), section(Gl2Matrix._of(*mn)))
+        t, n = _invert_data(t), -n
+    mn, (p, q) = _power_by_type(t[:4], _normal_vector(t), n)
+    # M^n has det (det M)^n = +-1; inner((p, q)) moves section(M^n)'s
+    # offsets as in normal_form's proof
+    s = section(Gl2Matrix._of(*mn))
+    m = s.matrix
+    return Automorphism._of(m, s.r + p * m.m21 - q * m.m11, s.u + p * m.m22 - q * m.m12)
 
 
 def _compose_power(omega: Automorphism, n: int) -> Automorphism:
@@ -402,12 +409,17 @@ def normal_form(omega: Automorphism) -> tuple[InnerVector, Gl2Matrix]:
     True
     """
     _expect(omega, Automorphism, "omega")
-    m = omega.matrix
-    s = section(m)
-    m11, m12, m21, m22 = m.m11, m.m12, m.m21, m.m22
-    x, y = omega.r - s.r, omega.u - s.u
+    return InnerVector._of(*_normal_vector(_data(omega))), omega.matrix
+
+
+def _normal_vector(t: tuple[int, ...]) -> tuple[int, int]:
+    # normal_form's v on data (m11, m12, m21, m22, r, u), with section's
+    # offsets written out
+    m11, m12, m21, m22, r, u = t
     d = m11 * m22 - m12 * m21
-    return InnerVector(d * (m11 * y - m12 * x), d * (m21 * y - m22 * x)), m
+    x = r - (m11 * m21 - m11 - m21 + d) // 2
+    y = u - (m12 * m22 - m12 - m22 + d) // 2
+    return d * (m11 * y - m12 * x), d * (m21 * y - m22 * x)
 
 
 def center_image(omega: Automorphism) -> int:

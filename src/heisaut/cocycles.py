@@ -93,7 +93,9 @@ def _phi_power(
     phi(l^j l^k) = phi(l^j) + L^j.phi(l^k) is the recurrence of the
     powers of the affine map x -> L x + val, so for k >= 0 the pair is
     (S_k val, L^k) from gl2._affine_power, in O(log k) exact steps; and
-    phi(l^-k) = -L^-k.phi(l^k).
+    phi(l^-k) = -L^-k.phi(l^k).  It stays on that generic route, not
+    gl2._power_by_type, because its fold, _extend_values, is the oracle
+    for extend's closed form.
     """
     p, (vp, vq) = _affine_power(mat, val, abs(exp))
     if exp < 0:

@@ -62,10 +62,13 @@ class Gl2Matrix(_Value):
         return mat_multiply(self, other)
 
     def __pow__(self, n: int) -> "Gl2Matrix":
+        """M^n; negative n inverts first.  O(1) big-int operations for
+        parabolic and finite-order M, O(log n) only for hyperbolic M
+        (see _power_by_type)."""
         _check_int(n, "n")
         m = self if n >= 0 else mat_inverse(self)
         # a power of a det +-1 matrix has det (+-1)^n
-        return Gl2Matrix._of(*_affine_power(m.entries(), (0, 0), abs(n))[0])
+        return Gl2Matrix._of(*_power_by_type(m.entries(), (0, 0), abs(n))[0])
 
     def inverse(self) -> "Gl2Matrix":
         return mat_inverse(self)
@@ -135,6 +138,61 @@ def _affine_power(
             p11, p12, p21, p22 = (m11 * p11 + m12 * p21, m11 * p12 + m12 * p22,
                                   m21 * p11 + m22 * p21, m21 * p12 + m22 * p22)
     return (p11, p12, p21, p22), (s1, s2)
+
+
+def _power_by_type(
+    m: tuple[int, ...], v: tuple[int, int], n: int
+) -> tuple[tuple[int, ...], tuple[int, int]]:
+    """(M^n, S_n v) for n >= 0, as _affine_power gives it, by a formula
+    picked from det M and t = tr M: O(1) big-int operations for
+    parabolic and finite-order M, _affine_power's O(log n) steps for the
+    rest.  Those are hyperbolic (det 1 and |t| > 2, or det -1 and t != 0):
+    an eigenvalue has |lambda| > 1, so the entries of M^n grow
+    exponentially and n stays small.
+
+    Parabolic: det 1 and t = 2e, e = +-1 (this includes +-I).  eM has
+    trace 2 and det 1, so by Cayley-Hamilton N = eM - I has
+    N^2 = (eM)^2 - 2eM + I = 0, and M^k = e^k (I + N)^k = e^k (I + kN).
+    Summing over k < n, S_n = a I + b N with a = sum e^k and
+    b = sum k e^k.  For e = 1, (a, b) = (n, n(n-1)/2).  For e = -1 the
+    terms k = 2j, 2j + 1 add 0 to a and -1 to b, and an odd n leaves the
+    term k = n - 1, which adds 1 and n - 1: so a = n mod 2, and b is -n/2
+    for even n and -(n-1)/2 + n - 1 = (n-1)/2 for odd n.
+
+    Finite order: det 1 and |t| <= 1, or det -1 and t = 0.  Cayley-Hamilton
+    M^2 = tM - det I gives M^2 = I for det -1, so p = 2, and for det 1
+    M^4 = I (t = 0), M^3 = M^2 - M = -I (t = 1) or M^3 = -M^2 - M = I
+    (t = -1), so p = 4, 6, 3.  F(x) = Mx + v then has F^p(x) = x + S_p v,
+    and for n = qp + r, F^n = F^(qp) o F^r gives
+    (M^n, S_n v) = (M^r, S_r v + q S_p v), with r < p <= 6.  For det 1,
+    S_p = 0: (M - I) S_p = M^p - I = 0, and M - I is invertible, as
+    det(M - I) = det M - t + 1 = 2 - t > 0.  For det -1, S_2 = I + M.
+    """
+    m11, m12, m21, m22 = m
+    t, det = m11 + m22, m11 * m22 - m12 * m21
+    if det == 1 and (t == 2 or t == -2):
+        e, odd = t >> 1, n & 1
+        v1, v2 = v
+        n11, n12, n21, n22 = e * m11 - 1, e * m12, e * m21, e * m22 - 1
+        if e == 1:
+            a, b = n, n * (n - 1) >> 1
+        else:
+            a, b = odd, n >> 1 if odd else -(n >> 1)
+        en = e if odd else 1
+        c = en * n
+        w1, w2 = n11 * v1 + n12 * v2, n21 * v1 + n22 * v2
+        return ((en + c * n11, c * n12, c * n21, en + c * n22),
+                (a * v1 + b * w1, a * v2 + b * w2))
+    if det == 1 and -1 <= t <= 1 or det == -1 and t == 0:
+        # the order p: 2 for det -1, else 4, 6, 3 at t = 0, 1, -1
+        q, r = divmod(n, 2 if det == -1 else (4, 6, 3)[t])
+        mr, (s1, s2) = _affine_power(m, v, r)
+        if det == -1:  # S_2 v = v + M v
+            v1, v2 = v
+            s1 += q * (v1 + m11 * v1 + m12 * v2)
+            s2 += q * (v2 + m21 * v1 + m22 * v2)
+        return mr, (s1, s2)
+    return _affine_power(m, v, n)
 
 
 class Letter(enum.Enum):

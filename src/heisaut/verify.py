@@ -26,7 +26,8 @@ the sample count and the seed before it runs any suite.
 
 Where the library uses a closed form, the suites check it against the
 generic route it replaced: word folds for section() and extend(), the
-compose route for normal_form(), power() and section_difference(), and
+compose route for normal_form(), power() and section_difference() (for
+power() also at each conjugacy type of its matrix, in power-types), and
 the 10 x 6 relator system for Cocycle's four lattice conditions and the
 violation it reports.
 """
@@ -577,6 +578,37 @@ def _normal_form(rng: random.Random) -> None:
     got, expected = aut.power(omega2, n), aut._compose_power(omega2, n)
     if got != expected:
         raise _Mismatch(f"power omega={omega2} n={n}", expected, got)
+
+
+# the cores C of power-types, by index: +rd(d) and -rd(d) (None, built
+# per sample); one matrix of each conjugacy class of finite order in
+# GL(2,Z), of orders 4, 6, 3, 2 (-I, parabolic), 2 and 2 (det -1); and
+# hyperbolic controls of det -1 (traces 1 and 2) and det 1
+_POWER_CORES = (None, None, (0, 1, -1, 0), (0, 1, -1, 1), (0, 1, -1, -1),
+                (-1, 0, 0, -1), (0, 1, 1, 0), (-1, 0, 0, 1),
+                (1, 1, 1, 0), (2, 1, 1, 0), (2, 1, 1, 1))
+
+
+@_sampled("power-types")
+def _power_types(rng: random.Random) -> None:
+    # power's and **'s formulas by conjugacy type against compose only,
+    # on a conjugate P C P^-1 with P a word of at most 3 letters
+    kind = _rand_int(rng, 5) + 5
+    core = _POWER_CORES[kind]
+    if core is None:
+        s, d = 1 - 2 * kind, _rand_int(rng, D_BOUND)
+        core = (s, s * d, 0, s)
+    p = _rand_matrix(rng, max_len=3)
+    m = gl2.mat_multiply(gl2.mat_multiply(p, gl2.Gl2Matrix(*core)), gl2.mat_inverse(p))
+    omega = aut.Automorphism(m, _rand_int(rng), _rand_int(rng))
+    n = _rand_int(rng, 256)
+    expected = aut._compose_power(omega, n)
+    got = aut.power(omega, n)
+    if got != expected:
+        raise _Mismatch(f"power omega={omega} n={n}", expected, got)
+    got_m = m ** n
+    if got_m != expected.matrix:
+        raise _Mismatch(f"matrix power M={m} n={n}", expected.matrix, got_m)
 
 
 @_sampled("naturality")

@@ -27,7 +27,7 @@ from heisaut.aut import (
     section,
 )
 from heisaut.cocycles import canonical_section
-from heisaut.gl2 import Letter, _affine_power
+from heisaut.gl2 import Letter, _affine_power, _power_by_type
 from heisaut.heis import IDENTITY, X, Y, Z, HeisElement, inverse, multiply
 from heisaut.heis import power as elem_power
 
@@ -503,3 +503,72 @@ class TestAffinePower:
         v1, v2 = 2**5000 + 1, -(3**3100)
         assert _affine_power(gl2.A.entries(), (v1, v2), n) == \
             ((1, n, 0, 1), (n * v1 + n * (n - 1) // 2 * v2, n * v2))
+
+
+# one matrix of each conjugacy class of finite order in GL(2,Z), with
+# its order p (-I takes the parabolic branch), and two parabolic cores
+FINITE_ORDER = (
+    (4, gl2.Gl2Matrix(0, 1, -1, 0)), (6, gl2.Gl2Matrix(0, 1, -1, 1)),
+    (3, gl2.Gl2Matrix(0, 1, -1, -1)), (2, gl2.Gl2Matrix(-1, 0, 0, -1)),
+    (2, gl2.Gl2Matrix(0, 1, 1, 0)), (2, gl2.D),
+)
+FINITE_IDS = ["order-4", "order-6", "order-3", "minus-I", "swap", "D"]
+cores = st.one_of(
+    st.sampled_from([m for _, m in FINITE_ORDER]),
+    st.builds(lambda sign, d: gl2.Gl2Matrix(sign, sign * d, 0, sign),
+              st.sampled_from((1, -1)),
+              st.integers(min_value=-2**2000, max_value=2**2000)))
+
+
+def typed_automorphism(p: gl2.Gl2Matrix, core: gl2.Gl2Matrix, r: int, u: int):
+    # an automorphism over the conjugate P C P^-1
+    return Automorphism(gl2.mat_multiply(gl2.mat_multiply(p, core),
+                                         gl2.mat_inverse(p)), r, u)
+
+
+def affine_route_power(omega: Automorphism, n: int) -> Automorphism:
+    # power() as it was before the conjugacy types: _affine_power for
+    # (M^n, S_n v), and one compose
+    if n < 0:
+        omega, n = invert(omega), -n
+    v, m = normal_form(omega)
+    mn, sv = _affine_power(m.entries(), (v.p, v.q), n)
+    return compose(inner(InnerVector(*sv)), section(gl2.Gl2Matrix(*mn)))
+
+
+class TestPowerByType:
+    # the closed forms for parabolic and finite-order M in power(),
+    # against _affine_power, the naive loop and compose only
+
+    @settings(max_examples=settings().max_examples // 2)
+    @given(small_matrices, cores, big, big, st.integers(0, 40))
+    def test_matches_naive_loop(self, p, core, v1, v2, n):
+        m = typed_automorphism(p, core, 0, 0).matrix.entries()
+        assert _power_by_type(m, (v1, v2), n) == naive_affine_power(m, (v1, v2), n)
+
+    @settings(max_examples=settings().max_examples // 4, deadline=None)
+    @given(matrices, cores, big, big,
+           st.integers(min_value=-2**2000, max_value=2**2000))
+    def test_power_matches_affine_route(self, p, core, r, u, n):
+        omega = typed_automorphism(p, core, r, u)
+        assert power(omega, n) == affine_route_power(omega, n)
+
+    @settings(max_examples=settings().max_examples // 2, deadline=None)
+    @given(small_matrices, cores, coords, coords, st.integers(-300, 300))
+    def test_power_matches_compose(self, p, core, r, u, n):
+        omega = typed_automorphism(p, core, r, u)
+        assert power(omega, n) == _compose_power(omega, n)
+
+    @pytest.mark.parametrize("p, core", FINITE_ORDER, ids=FINITE_IDS)
+    def test_finite_order_edges(self, p, core):
+        conj = gl2.eval_word(gl2.parse_word("A^3 B^-2 D A B^5 A^-1 B"))
+        omega = typed_automorphism(conj, core, 2**5000 + 1, -(3**3100))
+        for n in (0, 1, p - 1, p, p + 1):
+            for signed in (n, -n):
+                assert power(omega, signed) == _compose_power(omega, signed)
+
+    @settings(max_examples=settings().max_examples // 2, deadline=None)
+    @given(automorphisms, st.integers(-20, 20))
+    def test_hyperbolic_unchanged(self, omega, n):
+        # any word matrix, hyperbolic ones among them
+        assert power(omega, n) == affine_route_power(omega, n)

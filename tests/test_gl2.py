@@ -3,7 +3,7 @@ import random
 import types
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heisaut import cocycles, gl2, verify
@@ -26,6 +26,8 @@ from heisaut.gl2 import (
     mat_multiply,
     parse_matrix,
     parse_word,
+    _affine_power,
+    _power_by_type,
 )
 
 letter_pairs = st.tuples(
@@ -87,6 +89,89 @@ class TestMatrix:
         for _ in range(abs(n)):
             acc = mat_multiply(acc, base)
         assert m ** n == acc
+
+
+# one matrix of each conjugacy class of finite order in GL(2,Z), with
+# its order p; -I has trace -2 and takes the parabolic branch
+FINITE_ORDER = (
+    (4, Gl2Matrix(0, 1, -1, 0)), (6, Gl2Matrix(0, 1, -1, 1)),
+    (3, Gl2Matrix(0, 1, -1, -1)), (2, Gl2Matrix(-1, 0, 0, -1)),
+    (2, Gl2Matrix(0, 1, 1, 0)), (2, D),
+)
+FINITE_IDS = ["order-4", "order-6", "order-3", "minus-I", "swap", "D"]
+# conjugators for the fixed cases, both determinants
+CONJUGATORS = (IDENTITY, eval_word(parse_word("A^3 B^-2 D A B^5 A^-1 B")),
+               eval_word(parse_word("B^7 A^-4 B A^2")))
+BIG_V = (2**5000 + 1, -(3**3100))
+huge = st.integers(min_value=-2**5000, max_value=2**5000)
+# small exponents, and exponents up to 2^2000
+exponents = st.one_of(st.integers(0, 70), st.integers(0, 2**2000))
+
+
+def conjugate(p: Gl2Matrix, core: Gl2Matrix) -> Gl2Matrix:
+    return mat_multiply(mat_multiply(p, core), mat_inverse(p))
+
+
+def shear(sign: int, d: int) -> Gl2Matrix:
+    # +-rd(d)'s matrix, parabolic of trace 2 * sign
+    return Gl2Matrix(sign, sign * d, 0, sign)
+
+
+class TestPowerByType:
+    # _power_by_type against the generic square-and-multiply
+
+    @settings(max_examples=settings().max_examples // 4, deadline=None)
+    @given(matrices, st.sampled_from((1, -1)),
+           st.integers(min_value=-2**2000, max_value=2**2000), huge, huge, exponents)
+    def test_parabolic(self, p, sign, d, v1, v2, n):
+        m = conjugate(p, shear(sign, d)).entries()
+        assert _power_by_type(m, (v1, v2), n) == _affine_power(m, (v1, v2), n)
+
+    @settings(max_examples=settings().max_examples // 2, deadline=None)
+    @given(matrices, st.sampled_from(FINITE_ORDER), huge, huge, exponents)
+    def test_finite_order(self, p, core, v1, v2, n):
+        m = conjugate(p, core[1]).entries()
+        assert _power_by_type(m, (v1, v2), n) == _affine_power(m, (v1, v2), n)
+
+    @pytest.mark.parametrize("p, core", FINITE_ORDER, ids=FINITE_IDS)
+    def test_finite_order_edges(self, p, core):
+        for conj in CONJUGATORS:
+            m = conjugate(conj, core)
+            assert m ** p == IDENTITY
+            for n in (0, 1, p - 1, p, p + 1):
+                got = _power_by_type(m.entries(), BIG_V, n)
+                assert got == _affine_power(m.entries(), BIG_V, n)
+                product = IDENTITY
+                for _ in range(n):
+                    product = mat_multiply(product, m)
+                assert m ** n == product
+                assert m ** -n == mat_inverse(product)
+
+    @given(matrices, huge, huge, st.integers(0, 40))
+    def test_hyperbolic_falls_through(self, m, v1, v2, n):
+        # every matrix a word gives, hyperbolic ones among them
+        assert _power_by_type(m.entries(), (v1, v2), n) == \
+            _affine_power(m.entries(), (v1, v2), n)
+
+    def test_hyperbolic_runs_the_generic_route(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gl2, "_affine_power",
+                            lambda *args: calls.append(args) or ((1, 0, 0, 1), (0, 0)))
+        for m in (Gl2Matrix(2, 1, 1, 1), Gl2Matrix(1, 1, 1, 0),
+                  Gl2Matrix(2, 1, 1, 0), Gl2Matrix(0, 1, -1, 3)):
+            calls.clear()
+            _power_by_type(m.entries(), (5, 7), 9)
+            assert calls == [(m.entries(), (5, 7), 9)]
+
+    @settings(max_examples=settings().max_examples // 2, deadline=None)
+    @given(matrices, st.sampled_from([core for _, core in FINITE_ORDER]
+                                     + [shear(1, 3**500), shear(-1, -(5**300))]),
+           st.integers(0, 2**2000))
+    def test_negative_pow(self, p, core, n):
+        m = conjugate(p, core)
+        inverse_power = _affine_power(mat_inverse(m).entries(), (0, 0), n)[0]
+        assert m ** -n == Gl2Matrix(*inverse_power)
+        assert mat_multiply(m ** n, m ** -n) == IDENTITY
 
 
 class TestWordNormalization:
