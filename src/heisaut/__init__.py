@@ -15,42 +15,50 @@ The submodules are the API surface:
 All arithmetic is integer-exact pure Python; backend_name() always
 returns "pure" and is kept for the reports that record it.
 
-``verify`` is imported on first use (``heisaut.verify`` or ``from heisaut
-import verify``), so that a heis-aut command that runs no suite does not
-load it.
+``import heisaut`` loads no submodule.  Each name of ``__all__`` is
+resolved on first use, through the one table ``_HOMES``: ``heisaut.gl2``
+or ``from heisaut import gl2`` imports the gl2 module (and what it
+imports), and ``heisaut.Gl2Matrix`` is the class that module holds.  So
+a heis-aut command loads only the modules it calls.
 """
 
-import importlib
+import sys
 
-from . import aut, cocycles, gl2, heis, zlattice
-from ._backend import backend_name
-from .aut import Automorphism, InnerVector
-from .cocycles import Cocycle, SectionOnGenerators
-from .gl2 import GeneratorWord, Gl2Matrix
-from .heis import AbPair, HeisElement
+# each public name -> the submodule that holds it; a submodule maps to
+# itself
+_HOMES = {
+    "AbPair": "heis",
+    "HeisElement": "heis",
+    "GeneratorWord": "gl2",
+    "Gl2Matrix": "gl2",
+    "Automorphism": "aut",
+    "InnerVector": "aut",
+    "Cocycle": "cocycles",
+    "SectionOnGenerators": "cocycles",
+    "backend_name": "_backend",
+    "heis": "heis",
+    "gl2": "gl2",
+    "aut": "aut",
+    "cocycles": "cocycles",
+    "zlattice": "zlattice",
+    "verify": "verify",
+}
 
-__all__ = [
-    "AbPair",
-    "Automorphism",
-    "Cocycle",
-    "GeneratorWord",
-    "Gl2Matrix",
-    "HeisElement",
-    "InnerVector",
-    "SectionOnGenerators",
-    "aut",
-    "backend_name",
-    "cocycles",
-    "gl2",
-    "heis",
-    "verify",
-    "zlattice",
-]
+__all__ = sorted(_HOMES)
 
 
 def __getattr__(name: str):
-    # PEP 562; import_module, not "from . import verify", which would
-    # call this hook again while resolving the name and never return
-    if name == "verify":
-        return importlib.import_module(".verify", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # PEP 562: called only for a name not bound here.  __import__, not
+    # "from . import", which would call this hook again while resolving
+    # the name and never return; importing a submodule binds it here, so
+    # the hook runs once per submodule
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    __import__(f"{__name__}.{home}")
+    module = sys.modules[f"{__name__}.{home}"]
+    return module if home == name else getattr(module, name)
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *__all__})

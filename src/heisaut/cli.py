@@ -20,8 +20,22 @@ The commands are described once, in the table of ``_commands()``;
 for the branch of the one command its first two words name, and for the
 whole tree when they name none (no command, ``--help``, a family's own
 help, an unknown name, or an option before the command); the output is
-the same either way.  ``verify`` and ``json`` are imported only by the
-commands and options that use them.
+the same either way.
+
+A command imports only the modules it calls: the table names each
+library function and value parser as "module.name", looked up when the
+command runs, and each ``_cmd_*`` handler imports its module itself.
+Building the parser, ``--help`` and usage errors load heis alone (for
+the integer grammar).  The heisaut modules each family loads:
+
+    elem              heis
+    gl2               heis, gl2
+    aut               heis, gl2, aut
+    cocycle           heis, gl2, aut, cocycles, zlattice
+    verify            heis, gl2, aut, cocycles, zlattice, verify
+
+(gl2 brings the private _backend and _kernels along.)  ``json`` is
+imported only by --json.
 """
 
 from __future__ import annotations
@@ -31,10 +45,9 @@ import functools
 import os
 import re
 import sys
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
-from . import aut, cocycles, gl2, heis
-from ._backend import backend_name
+from . import heis
 
 _SUITES_HELP = "suite names, or 'all' (default: all); available: "
 
@@ -81,13 +94,22 @@ def _emit(args: argparse.Namespace, plain: str, data: dict) -> None:
         print(plain)
 
 
-def _run(fn, key: str, positionals, args) -> int:
+def _library(ref: str):
+    # "module.name": the name as heisaut.module holds it now; the package
+    # namespace imports the module on first use
+    module, name = ref.split(".")
+    return getattr(getattr(sys.modules[__package__], module), name)
+
+
+def _run(fn: str, key: str, positionals, args) -> int:
     # parse each positional in order, call the library function, print
-    # the result; integers arrive parsed by argparse
-    result = fn(*(getattr(args, name) if parse is integer
-                  else parse(getattr(args, name))
-                  for name, parse in positionals))
+    # the result; integers arrive parsed by argparse, raw text as it is
+    result = _library(fn)(*(
+        getattr(args, name) if parse in (str, integer)
+        else _library(parse)(getattr(args, name))
+        for name, parse in positionals))
     if getattr(args, "apply", None) is not None:
+        from . import aut
         result = aut.apply(result, heis.parse_element(args.apply))
         key = "element"
     if isinstance(result, bool):
@@ -102,18 +124,21 @@ def _run(fn, key: str, positionals, args) -> int:
 # commands with their own output or exit code
 
 def _cmd_normal_form(args) -> int:
+    from . import aut
     v, m = aut.normal_form(aut.parse_automorphism(args.omega))
     _emit(args, f"v={v}, M={m}", {"v": str(v), "matrix": str(m)})
     return 0
 
 
 def _cmd_decompose(args) -> int:
+    from . import gl2
     w = gl2.decompose(gl2.parse_matrix(args.m), args.strategy)
     _emit(args, str(w), {"word": str(w)})
     return 0
 
 
 def _cmd_relations(args) -> int:
+    from . import gl2
     checks = gl2.check_presentation_relations()
     _emit(args,
           "\n".join(f"{'PASS' if c.ok else 'FAIL'} {c.name}" for c in checks),
@@ -125,6 +150,7 @@ def _cmd_relations(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from . import cocycles
     try:
         phi = cocycles.parse_cocycle(args.phi)
     except cocycles.RelatorViolation as exc:
@@ -135,12 +161,14 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from . import cocycles
     a = cocycles.solve_coboundary(cocycles.parse_cocycle(args.phi))
     _emit(args, f"a={a}", {"a": str(a)})
     return 0
 
 
 def _cmd_lattice(args) -> int:
+    from . import cocycles
     report = cocycles.cocycle_lattice()
     relation = "equals" if report.equals_coboundary_lattice else "differs from"
     plain = f"rank={report.rank}, {relation} coboundary lattice"
@@ -154,6 +182,7 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_twist(args) -> int:
+    from . import cocycles
     sigma0 = (cocycles.parse_section(args.section) if args.section
               else cocycles.canonical_section())
     twisted = cocycles.twist(sigma0, cocycles.parse_cocycle(args.phi))
@@ -163,6 +192,7 @@ def _cmd_twist(args) -> int:
 
 def _cmd_verify(args) -> int:
     from . import verify
+    from ._backend import backend_name
 
     available = verify.available_suites()
     names = list(args.suites) + list(args.suite or [])
@@ -211,65 +241,70 @@ def _commands() -> list:
     """Every command as (family, command, help, function, JSON key,
     positionals, options).
 
-    A positional is (name, parser).  With a JSON key, the function is
-    the library call that ``_run`` makes on the parsed positionals;
-    without one, it is a ``_cmd_*`` handler that reads the raw ``args``.
-    An option is (flag, add_argument keywords).  ``verify`` is a family
+    A positional is (name, parser): a library parser, ``integer``, or
+    ``str`` for the raw text.  With a JSON key, the function is the library
+    call that ``_run`` makes on the parsed positionals; without one, it
+    is a ``_cmd_*`` handler that reads the raw ``args``.  A library
+    function or parser is named "module.name" and looked up when the
+    command runs, so that each entry is the function its module holds
+    then, and building the parser imports no module beyond heis.  An
+    option is (flag, add_argument keywords).  ``verify`` is a family
     without subcommands.
 
-    Built on each call, so that each entry is the function its module
+    Built on each call, so that its ``integer`` is the one this module
     holds when the command runs.
     """
-    element, matrix, word = heis.parse_element, gl2.parse_matrix, gl2.parse_word
-    omega, pair = aut.parse_automorphism, aut.parse_pair
-    cocycle, section = cocycles.parse_cocycle, cocycles.parse_section
+    element = "heis.parse_element"
+    matrix, word = "gl2.parse_matrix", "gl2.parse_word"
+    omega, pair = "aut.parse_automorphism", "aut.parse_pair"
+    cocycle, section = "cocycles.parse_cocycle", "cocycles.parse_section"
     apply = ("--apply", {"metavar": "G", "help": "apply the result to an element"})
     strategy = {"choices": ("left", "right"), "default": "left"}
     return [
-        ("elem", "mul", "product g1*g2", heis.multiply, "element",
+        ("elem", "mul", "product g1*g2", "heis.multiply", "element",
          [("g1", element), ("g2", element)], []),
-        ("elem", "inv", "inverse", heis.inverse, "element", [("g", element)], []),
-        ("elem", "pow", "n-th power", heis.power, "element",
+        ("elem", "inv", "inverse", "heis.inverse", "element", [("g", element)], []),
+        ("elem", "pow", "n-th power", "heis.power", "element",
          [("g", element), ("n", integer)], []),
-        ("elem", "comm", "commutator g1 g2 g1^-1 g2^-1", heis.commutator,
+        ("elem", "comm", "commutator g1 g2 g1^-1 g2^-1", "heis.commutator",
          "element", [("g1", element), ("g2", element)], []),
         ("elem", "lambda", "abelianization (a,b,c) -> (a,b)",
-         heis.lambda_project, "pair", [("g", element)], []),
-        ("elem", "central", "whether the element is central", heis.is_central,
+         "heis.lambda_project", "pair", [("g", element)], []),
+        ("elem", "central", "whether the element is central", "heis.is_central",
          "central", [("g", element)], []),
-        ("aut", "apply", "omega(g)", aut.apply, "element",
+        ("aut", "apply", "omega(g)", "aut.apply", "element",
          [("omega", omega), ("g", element)], []),
-        ("aut", "compose", "omega2 after omega1", aut.compose, "automorphism",
+        ("aut", "compose", "omega2 after omega1", "aut.compose", "automorphism",
          [("omega2", omega), ("omega1", omega)], [apply]),
-        ("aut", "invert", "omega^-1", aut.invert, "automorphism",
+        ("aut", "invert", "omega^-1", "aut.invert", "automorphism",
          [("omega", omega)], [apply]),
-        ("aut", "section", "the section over a matrix", aut.section,
+        ("aut", "section", "the section over a matrix", "aut.section",
          "automorphism", [("matrix", matrix)],
          [("--strategy", {**strategy,
                           "help": "ignored: the section is computed in closed "
                                   "form; the flag is kept for compatibility"}),
           apply]),
-        ("aut", "project", "induced matrix on the abelianization", aut.project,
+        ("aut", "project", "induced matrix on the abelianization", "aut.project",
          "matrix", [("omega", omega)], []),
-        ("aut", "inner", "conjugation by (p,q,0)", aut.inner, "automorphism",
+        ("aut", "inner", "conjugation by (p,q,0)", "aut.inner", "automorphism",
          [("(p,q)", pair)], [apply]),
-        ("aut", "rd", "the shear automorphism R_d", aut.rd, "automorphism",
+        ("aut", "rd", "the shear automorphism R_d", "aut.rd", "automorphism",
          [("d", integer)], [apply]),
         ("aut", "normal-form", "unique (v, M) with omega = inner(v) o section(M)",
          _cmd_normal_form, None, [("omega", str)], []),
         ("aut", "center-image", "c-coordinate of omega((0,0,1))",
-         aut.center_image, "center_image", [("omega", omega)], []),
+         "aut.center_image", "center_image", [("omega", omega)], []),
         ("aut", "is-plus", "whether omega projects into SL(2,Z)",
-         aut.is_aut_plus, "is_aut_plus", [("omega", omega)], []),
-        ("gl2", "mul", "matrix product", gl2.mat_multiply, "matrix",
+         "aut.is_aut_plus", "is_aut_plus", [("omega", omega)], []),
+        ("gl2", "mul", "matrix product", "gl2.mat_multiply", "matrix",
          [("m1", matrix), ("m2", matrix)], []),
-        ("gl2", "inv", "matrix inverse", gl2.mat_inverse, "matrix",
+        ("gl2", "inv", "matrix inverse", "gl2.mat_inverse", "matrix",
          [("m", matrix)], []),
         ("gl2", "eval-word", "evaluate a word like 'A B A D A^-3'",
-         gl2.eval_word, "matrix", [("word", word)], []),
+         "gl2.eval_word", "matrix", [("word", word)], []),
         ("gl2", "decompose", "a generator word for the matrix", _cmd_decompose,
          None, [("m", str)], [("--strategy", strategy)]),
-        ("gl2", "normalize", "normalize a word", gl2.parse_word, "word",
+        ("gl2", "normalize", "normalize a word", "gl2.parse_word", "word",
          [("word", str)], []),
         ("gl2", "relations", "check the five defining relators", _cmd_relations,
          None, [], []),
@@ -278,8 +313,8 @@ def _commands() -> list:
         ("cocycle", "solve", "the unique a with g.a - a = phi(g)", _cmd_solve,
          None, [("phi", str)], []),
         ("cocycle", "coboundary", "the cocycle g -> g.a - a",
-         cocycles.coboundary, "cocycle", [("(p,q)", pair)], []),
-        ("cocycle", "extend", "evaluate a cocycle on a word", cocycles.extend,
+         "cocycles.coboundary", "cocycle", [("(p,q)", pair)], []),
+        ("cocycle", "extend", "evaluate a cocycle on a word", "cocycles.extend",
          "value", [("phi", cocycle), ("word", word)], []),
         ("cocycle", "lattice", "solution lattice of the relator system",
          _cmd_lattice, None, [], []),
@@ -288,7 +323,7 @@ def _commands() -> list:
          [("--section", {"metavar": "SECTION",
                          "help": "base section (default: the canonical one)"})]),
         ("cocycle", "diff", "cocycle difference alpha2 * alpha1^-1",
-         cocycles.section_difference, "cocycle",
+         "cocycles.section_difference", "cocycle",
          [("alpha2", section), ("alpha1", section)], []),
         ("verify", None, "run randomized invariant suites", _cmd_verify, None, [],
          [("suites", {"nargs": "*", "metavar": "SUITE", "help": _SUITES_HELP}),
@@ -343,7 +378,7 @@ def build_parser(words: Sequence[str] = ()) -> _Parser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     # values are exact at any size, so lift Python's int<->str digit
     # limit (Python 3.10.7 on; 0 means none) for this call only; library
     # callers keep their own setting

@@ -29,8 +29,8 @@ orbit under twisting by Z + Z.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from functools import cache
-from typing import Sequence
 
 from . import gl2
 from .aut import (

@@ -36,8 +36,8 @@ from __future__ import annotations
 
 import random
 import time
+from collections.abc import Callable, Iterable
 from operator import mul
-from typing import Callable, Iterable, Optional
 
 from . import aut, cocycles, gl2, heis
 from .gl2 import _KAPPA
@@ -155,7 +155,7 @@ def _raised(exc: Exception) -> tuple[str, str]:
 
 
 def run(
-    names: Optional[Iterable[str]] = None, samples: int = 1000, seed: int = 0
+    names: Iterable[str] | None = None, samples: int = 1000, seed: int = 0
 ) -> VerifyReport:
     """Run the named suites (all of them by default).  Every argument
     is checked before any suite runs."""
@@ -681,7 +681,7 @@ def _cocycle_lattice() -> list[tuple[str, str, str]]:
 
 def _linear_violation(
     triple: tuple[aut.InnerVector, aut.InnerVector, aut.InnerVector]
-) -> Optional[tuple[str, aut.InnerVector]]:
+) -> tuple[str, aut.InnerVector] | None:
     # the first relator whose pair of rows in the relator system gives a
     # nonzero (row_p . x, row_q . x) on the flattened triple x
     x = cocycles._flatten(triple)

@@ -413,6 +413,54 @@ def test_verify_not_imported_by_cli():
     assert proc.stdout == "heisaut.verify\n"
 
 
+# the heisaut modules a process loads, by the command it runs
+_HEIS = {"heisaut", "heisaut.cli", "heisaut.heis"}
+_GL2 = _HEIS | {"heisaut.gl2", "heisaut._backend", "heisaut._kernels"}
+_AUT = _GL2 | {"heisaut.aut"}
+_COCYCLE = _AUT | {"heisaut.cocycles", "heisaut.zlattice"}
+_VERIFY = _COCYCLE | {"heisaut.verify"}
+
+# runs cli.main on its arguments, or only imports the package given none;
+# reports the exit code and the loaded heisaut modules as stderr's last line
+_LOADED_PROBE = """
+import sys
+code = 0
+if len(sys.argv) == 1:
+    import heisaut
+else:
+    import heisaut.cli
+    try:
+        code = heisaut.cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+print(code, *sorted(m for m in sys.modules if m.split(".")[0] == "heisaut"),
+      file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv, code, modules", [
+    ((), 0, {"heisaut"}),
+    (("--help",), 0, _HEIS),
+    (("elem", "mul", "(1,0,0)"), 1, _HEIS),
+    (("elem", "mul", "(1,0,0)", "(0,1,0)"), 0, _HEIS),
+    (("gl2", "decompose", "[[2,1],[1,1]]"), 0, _GL2),
+    (("aut", "compose", "{M=[[0,1],[-1,1]], r=5, u=-3}",
+      "{M=[[2,1],[1,1]], r=-1, u=4}", "--apply", "(1,2,3)"), 0, _AUT),
+    (("cocycle", "extend", "{rho=(-2,0), tau=(0,-3), kappa=(-6,0)}", "A B"),
+     0, _COCYCLE),
+    (("verify", "relations", "--samples", "1"), 0, _VERIFY),
+], ids=["import heisaut", "--help", "usage error", "elem", "gl2", "aut",
+        "cocycle", "verify"])
+def test_command_loads_only_its_modules(argv, code, modules):
+    # a fresh interpreter without site, whose start-up imports nothing of
+    # its own: a module-level import that loads more fails here
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-S", "-c", _LOADED_PROBE, *argv],
+                          env=env, capture_output=True, text=True, check=True)
+    last = proc.stderr.splitlines()[-1].split()
+    assert (int(last[0]), set(last[1:])) == (code, modules)
+
+
 def test_console_script_installed():
     exe = shutil.which("heis-aut")
     if exe is None:
