@@ -276,9 +276,10 @@ def power(omega: Automorphism, n: int) -> Automorphism:
     mn, (p, q) = _power_by_type(t[:4], _normal_vector(t), n)
     # M^n has det (det M)^n = +-1; inner((p, q)) moves section(M^n)'s
     # offsets as in normal_form's proof
-    s = section(Gl2Matrix._of(*mn))
-    m = s.matrix
-    return Automorphism._of(m, s.r + p * m.m21 - q * m.m11, s.u + p * m.m22 - q * m.m12)
+    m11, m12, m21, m22 = mn
+    r, u = _section_offsets(m11, m12, m21, m22, m11 * m22 - m12 * m21)
+    return Automorphism._of(Gl2Matrix._of(m11, m12, m21, m22),
+                            r + p * m21 - q * m11, u + p * m22 - q * m12)
 
 
 def _compose_power(omega: Automorphism, n: int) -> Automorphism:
@@ -378,9 +379,13 @@ def section(m: Gl2Matrix) -> Automorphism:
     '(1,0,0)'
     """
     _expect(m, Gl2Matrix, "m")
-    d = m.det
-    return Automorphism._of(m, (m.m11 * m.m21 - m.m11 - m.m21 + d) // 2,
-                            (m.m12 * m.m22 - m.m12 - m.m22 + d) // 2)
+    return Automorphism._of(m, *_section_offsets(m.m11, m.m12, m.m21, m.m22, m.det))
+
+
+def _section_offsets(m11: int, m12: int, m21: int, m22: int,
+                     d: int) -> tuple[int, int]:
+    # section's offsets (f(m11, m21), f(m12, m22)) on plain ints, d = det M
+    return (m11 * m21 - m11 - m21 + d) // 2, (m12 * m22 - m12 - m22 + d) // 2
 
 
 def normal_form(omega: Automorphism) -> tuple[InnerVector, Gl2Matrix]:
@@ -413,12 +418,11 @@ def normal_form(omega: Automorphism) -> tuple[InnerVector, Gl2Matrix]:
 
 
 def _normal_vector(t: tuple[int, ...]) -> tuple[int, int]:
-    # normal_form's v on data (m11, m12, m21, m22, r, u), with section's
-    # offsets written out
+    # normal_form's v on data (m11, m12, m21, m22, r, u)
     m11, m12, m21, m22, r, u = t
     d = m11 * m22 - m12 * m21
-    x = r - (m11 * m21 - m11 - m21 + d) // 2
-    y = u - (m12 * m22 - m12 - m22 + d) // 2
+    sr, su = _section_offsets(m11, m12, m21, m22, d)
+    x, y = r - sr, u - su
     return d * (m11 * y - m12 * x), d * (m21 * y - m22 * x)
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import re
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import islice
 
 from ._backend import kernels
@@ -227,6 +227,17 @@ def _iter_pairs(pairs: Iterable[LetterPair], name: str) -> Iterator[LetterPair]:
                         f"got {type(pairs).__name__}") from None
 
 
+def _emit(word: list[LetterPair], sym: Letter, exp: int) -> None:
+    # append sym^exp to a reduced word: merge it into an equal last
+    # symbol, reduce a kappa exponent mod 2, and drop an exponent 0
+    if word and word[-1][0] is sym:
+        exp += word.pop()[1]
+    if sym is _KAPPA:
+        exp %= 2
+    if exp:
+        word.append((sym, exp))
+
+
 def _normalize(letters: Iterable[LetterPair]) -> tuple[LetterPair, ...]:
     stack: list[LetterPair] = []
     for sym, exp in _iter_pairs(letters, "letters"):
@@ -234,21 +245,9 @@ def _normalize(letters: Iterable[LetterPair]) -> tuple[LetterPair, ...]:
             raise TypeError(f"word symbol must be a Letter, got {sym!r}")
         if type(exp) is not int:
             _check_int(exp, "exponent")
-        if sym is _KAPPA:
-            exp %= 2
-        if exp == 0:
-            continue
-        if stack and stack[-1][0] is sym:
-            merged = stack[-1][1] + exp
-            if sym is _KAPPA:
-                merged %= 2
-            stack.pop()
-            if merged != 0:
-                stack.append((sym, merged))
-            # a cancelled pair cannot expose two equal symbols: the
-            # entries beneath were already adjacent and distinct
-        else:
-            stack.append((sym, exp))
+        # a cancelled pair cannot expose two equal symbols: the entries
+        # beneath were already adjacent and distinct
+        _emit(stack, sym, exp)
     return tuple(stack)
 
 
@@ -403,102 +402,79 @@ def _residual_upper(diag: int, off: int) -> list[LetterPair]:
     return [*_RHO_TAU_RHO * 2, (_RHO, -off)]
 
 
-def _residual_lower(diag: int, off: int) -> list[LetterPair]:
-    # [[1,0],[m,1]] = tau^-m; [[-1,0],[m,-1]] = (rho tau rho)^2 tau^m
+def _residual_lower_reversed(diag: int, off: int) -> list[LetterPair]:
+    # [[1,0],[m,1]] = tau^-m; [[-1,0],[m,-1]] = (rho tau rho)^2 tau^m,
+    # each read back to front (rho tau rho is a palindrome)
     if diag == 1:
         return [(_TAU, -off)]
-    return [*_RHO_TAU_RHO * 2, (_TAU, off)]
+    return [(_TAU, off), *_RHO_TAU_RHO * 2]
 
 
-def _emit(word: list[LetterPair], sym: Letter, exp: int) -> None:
-    # append sym^exp to a reduced word: merge it into an equal last
-    # symbol and drop what comes to exponent 0.  decompose emits kappa
-    # once at most, so no kappa exponent needs reducing mod 2.
-    if word and word[-1][0] is sym:
-        exp += word.pop()[1]
-    if exp:
-        word.append((sym, exp))
-
-
-def _decompose_left(m: Gl2Matrix) -> list[LetterPair]:
-    # Collect left factors L1..Lt with Lt*...*L1*M upper triangular; then
-    # M = L1^-1*...*Lt^-1 * residual, so inverses are emitted in
-    # application order, followed by the residual word.
+def _euclid(m11: int, m12: int, m21: int, m22: int, first: Letter, second: Letter,
+            sign: int, residual: Callable[[int, int], list[LetterPair]]
+            ) -> list[LetterPair]:
+    # The Euclid reduction of both decompose strategies, by row
+    # operations.  It collects left factors L1..Lt with Lt*...*L1*M
+    # upper triangular; then M = L1^-1*...*Lt^-1 * residual, so the
+    # inverses are emitted in application order, followed by the letters
+    # residual(m11, m12) gives for the triangular rest.  A det -1 matrix
+    # is M = D * (D*M): kappa comes first, and row 1 is negated.  "left"
+    # passes first, second, sign = tau, rho, +1: subtracting q times row
+    # 1 from row 2 is left B^q, emitted tau^-q, and q times row 2 from
+    # row 1 is left A^-q, emitted rho^q.
     #
-    # The word comes out reduced.  The Euclid steps alternate tau and rho
-    # letters with nonzero exponents: after the first step each quotient
-    # divides a larger entry by a smaller one of the same sign.  Only the
-    # m11 == 0 step, which comes first or after a rho step, and the
+    # "right" reduces by column operations, and those are row operations
+    # on the transpose: M*R is the transpose of R^T * M^T, with
+    # A^T = B^-1, B^T = A^-1, D^T = D and (XY)^T = Y^T X^T.  So it passes
+    # the transposed entries, the letters swapped and sign -1, and
+    # reverses the word: the steps are right A^-q, emitted rho^q, and
+    # right B^q, emitted tau^-q, and negating row 1 of M^T negates column
+    # 1 of M.  Its residual keeps a table of its own, read back to front:
+    # for diagonal -1 the transposed left residual is the word
+    # tau^m (tau^-1 rho^-1 tau^-1)^2, not the (rho tau rho)^2 tau^m of
+    # the lower table, so one table for both would change the words.
+    #
+    # The word comes out reduced, and a word is reduced exactly when its
+    # reverse is.  The Euclid steps alternate the two step letters with
+    # nonzero exponents: after the first step each quotient divides a
+    # larger entry by a smaller one of the same sign.  Only the m11 == 0
+    # step, which comes first or after a second-letter step, and the
     # residual can put two equal symbols side by side or an exponent 0,
-    # so only they go through _emit.  The loop ends on a tau step, and
-    # the residual starts with rho.
+    # so only they go through _emit.  The loop ends on a first-letter
+    # step, and the residual starts with the second letter.
     word: list[LetterPair] = []
-    m11, m12, m21, m22 = m.entries()
-    if m.det == -1:
-        # M = D * (D*M); emit kappa and reduce the det +1 remainder
+    if m11 * m22 - m12 * m21 == -1:
         word.append((_KAPPA, 1))
         m11, m12 = -m11, -m12
     while m21:
         if not m11:
             # det forces m21 = +-1; one row addition makes the corner +-1
             m11, m12 = m21, m12 + m22  # left A
-            _emit(word, _RHO, -1)
+            _emit(word, second, -sign)
             continue
         q, m21 = divmod(m21, m11)
         if q:
             m22 -= q * m12  # left B^q
-            word.append((_TAU, -q))
+            word.append((first, -sign * q))
         if not m21:
             break
         q, m11 = divmod(m11, m21)
         m12 -= q * m22  # left A^-q
-        word.append((_RHO, q))
-    for sym, exp in _residual_upper(m11, m12):
+        word.append((second, sign * q))
+    for sym, exp in residual(m11, m12):
         _emit(word, sym, exp)
-    return word
-
-
-def _decompose_right(m: Gl2Matrix) -> list[LetterPair]:
-    # Same idea on columns: collect right factors R1..Rt with
-    # M*R1*...*Rt lower triangular; then M = residual * Rt^-1*...*R1^-1,
-    # so the word is built back to front (kappa, the inverses in
-    # application order, the residual reversed) and then reversed.  A
-    # word is reduced exactly when its reverse is, and the same argument
-    # as in _decompose_left says where letters can merge.
-    word: list[LetterPair] = []
-    m11, m12, m21, m22 = m.entries()
-    if m.det == -1:
-        # M = (M*D) * D; reduce the det +1 part, then append kappa
-        word.append((_KAPPA, 1))
-        m11, m21 = -m11, -m21
-    while m12:
-        if not m11:
-            # det forces m12 = +-1; one column addition makes the corner +-1
-            m11, m21 = m12, m21 + m22  # right B^-1
-            _emit(word, _TAU, 1)
-            continue
-        q, m12 = divmod(m12, m11)
-        if q:
-            m22 -= q * m21  # right A^-q
-            word.append((_RHO, q))
-        if not m12:
-            break
-        q, m11 = divmod(m11, m12)
-        m21 -= q * m22  # right B^q
-        word.append((_TAU, -q))
-    for sym, exp in reversed(_residual_lower(m11, m21)):
-        _emit(word, sym, exp)
-    word.reverse()
     return word
 
 
 def decompose(m: Gl2Matrix, strategy: str = "left") -> GeneratorWord:
     """A word w with eval_word(w) = m.  Not canonical.
 
-    Both strategies are Euclidean: "left" reduces the first column by
-    row operations, "right" reduces the first row by column operations.
-    They generally return different words for the same matrix, which is
-    what makes them useful as independent cross-checks.
+    Both strategies are one Euclidean reduction, dual under
+    transposition: "left" reduces the first column by row operations,
+    "right" reduces the first row by column operations, which are the
+    row operations on the transpose (see _euclid).  They generally
+    return different words for the same matrix, so each checks the
+    other.
 
     >>> str(decompose(Gl2Matrix(1, 5, 0, 1)))
     'A^5'
@@ -506,13 +482,16 @@ def decompose(m: Gl2Matrix, strategy: str = "left") -> GeneratorWord:
     True
     """
     _expect(m, Gl2Matrix, "m")
+    m11, m12, m21, m22 = m.entries()
     if strategy == "left":
-        letters = _decompose_left(m)
+        letters = _euclid(m11, m12, m21, m22, _TAU, _RHO, 1, _residual_upper)
     elif strategy == "right":
-        letters = _decompose_right(m)
+        letters = _euclid(m11, m21, m12, m22, _RHO, _TAU, -1,
+                          _residual_lower_reversed)
+        letters.reverse()
     else:
         raise ValueError(f"unknown strategy {strategy!r} (expected 'left' or 'right')")
-    # both Euclid routines return reduced words, which GeneratorWord's
+    # _euclid returns a reduced word, which GeneratorWord's
     # normalization would not change; so the word is built unchecked,
     # like the generated classes' _of
     word = object.__new__(GeneratorWord)

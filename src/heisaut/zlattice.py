@@ -5,15 +5,42 @@ Everything here works over Z with unimodular column operations only
 the integer row space / solution set is preserved exactly.  The
 matrices involved are tiny (the relator system is 10 x 6), so clarity
 beats asymptotics; no normal-form library is warranted for this.
+
+The public functions check their input once, at the boundary: a vector
+is a Sequence of ints (a bool or any other entry raises TypeError), and
+the vectors of one call all have one length (else ValueError), as do
+the rows of kernel_basis, which needs at least one.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .heis import _expect
+from .heis import _check_int, _expect
 
 Vector = tuple[int, ...]
+
+
+def _check_vector(v: object, name: str, length: int | None) -> None:
+    # the boundary check of one integer vector: a Sequence of ints
+    # (TypeError, through _check_int for an entry, so a bool fails too)
+    # with length entries unless length is None (ValueError)
+    _expect(v, Sequence, name)
+    if length is not None and len(v) != length:
+        raise ValueError(f"{name} has {len(v)} entries, expected {length}")
+    for j, e in enumerate(v):
+        if type(e) is not int:
+            _check_int(e, f"{name}[{j}]")
+
+
+def _check_vectors(vectors: Sequence[object], name: str,
+                   length: int | None = None) -> int | None:
+    # _check_vector on each vector, all of one length; returns that
+    # length, or the given one when there are no vectors
+    for i, v in enumerate(vectors):
+        _check_vector(v, f"{name}[{i}]", length)
+        length = len(v)
+    return length
 
 
 def _echelon(cols: list[list[int]], nrows: int) -> tuple[list[int], list[int]]:
@@ -60,8 +87,10 @@ def kernel_basis(rows: Sequence[Sequence[int]]) -> list[Vector]:
     [(-1, 1, 0), (0, 0, 1)]
     """
     _expect(rows, Sequence, "rows")
+    if not rows:
+        raise ValueError("rows must hold at least one row")
     nrows = len(rows)
-    ncols = len(rows[0])
+    ncols = _check_vectors(rows, "rows")
     cols: list[list[int]] = [
         [rows[i][j] for i in range(nrows)] + [int(i == j) for i in range(ncols)]
         for j in range(ncols)
@@ -76,6 +105,12 @@ def column_echelon(vectors: Sequence[Sequence[int]]) -> list[Vector]:
     lattice generated by the given vectors.  Column operations only, so
     the lattice is unchanged."""
     _expect(vectors, Sequence, "vectors")
+    _check_vectors(vectors, "vectors")
+    return _column_echelon(vectors)
+
+
+def _column_echelon(vectors: Sequence[Sequence[int]]) -> list[Vector]:
+    # column_echelon on checked vectors
     if not vectors:
         return []
     cols = [list(v) for v in vectors]
@@ -91,10 +126,16 @@ def in_lattice(vector: Sequence[int], basis: Sequence[Sequence[int]]) -> bool:
     >>> in_lattice((1, 1), [(0, 2), (1, 0)])
     False
     """
-    _expect(vector, Sequence, "vector")
+    _check_vector(vector, "vector", None)
     _expect(basis, Sequence, "basis")
+    _check_vectors(basis, "basis", len(vector))
+    return _in_echelon(vector, _column_echelon(basis))
+
+
+def _in_echelon(vector: Sequence[int], echelon: list[Vector]) -> bool:
+    # in_lattice against an echelon basis of the lattice
     target = list(vector)
-    for col in column_echelon(basis):
+    for col in echelon:
         lead = next((i for i, e in enumerate(col) if e != 0), None)
         if lead is None:
             continue
@@ -112,9 +153,11 @@ def in_lattice(vector: Sequence[int], basis: Sequence[Sequence[int]]) -> bool:
 def lattices_equal(
     basis1: Sequence[Sequence[int]], basis2: Sequence[Sequence[int]]
 ) -> bool:
-    """Mutual membership of two generating sets."""
+    """Mutual membership of two generating sets of vectors of one length."""
     _expect(basis1, Sequence, "basis1")
     _expect(basis2, Sequence, "basis2")
-    return all(in_lattice(v, basis2) for v in basis1) and all(
-        in_lattice(v, basis1) for v in basis2
+    _check_vectors(basis2, "basis2", _check_vectors(basis1, "basis1"))
+    echelon1, echelon2 = _column_echelon(basis1), _column_echelon(basis2)
+    return all(_in_echelon(v, echelon2) for v in basis1) and all(
+        _in_echelon(v, echelon1) for v in basis2
     )

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -96,3 +97,53 @@ class TestLatticesEqual:
     def test_reflexive_and_shuffle_invariant(self, gens):
         assert lattices_equal(gens, gens)
         assert lattices_equal(gens, list(reversed(gens)))
+
+
+class TestBoundary:
+    """Bad input raises at the boundary, naming what is wrong, instead of
+    a float result or an IndexError from inside the reduction."""
+
+    @pytest.mark.parametrize("fn, args, name", [
+        pytest.param(kernel_basis, ([[1, 1.5]],), r"rows\[0\]\[1\]", id="float"),
+        pytest.param(kernel_basis, ([[1, 2], [True, 0]],), r"rows\[1\]\[0\]",
+                     id="bool"),
+        pytest.param(kernel_basis, ([5],), r"rows\[0\]", id="row-not-sequence"),
+        pytest.param(column_echelon, ([(1, 2), (3, "4")],), r"vectors\[1\]\[1\]",
+                     id="echelon-str"),
+        pytest.param(in_lattice, ((1, 2.0), [(1, 2)]), r"vector\[1\]",
+                     id="vector-float"),
+        pytest.param(in_lattice, ((1, 2), [(False, 1)]), r"basis\[0\]\[0\]",
+                     id="basis-bool"),
+        pytest.param(lattices_equal, ([(1, 2)], [(1, None)]), r"basis2\[0\]\[1\]",
+                     id="basis2-none"),
+    ])
+    def test_non_int_entry_raises_type_error(self, fn, args, name):
+        with pytest.raises(TypeError, match=f"^{name} must be "):
+            fn(*args)
+
+    def test_no_rows_raises_value_error(self):
+        with pytest.raises(ValueError, match="at least one row"):
+            kernel_basis([])
+
+    @pytest.mark.parametrize("fn, args, name", [
+        pytest.param(kernel_basis, ([[1, 2], [3]],), r"rows\[1\]", id="rows"),
+        pytest.param(column_echelon, ([(1, 2), (3,)],), r"vectors\[1\]",
+                     id="vectors"),
+        pytest.param(in_lattice, ((1, 2), [(1,)]), r"basis\[0\]", id="basis-short"),
+        pytest.param(in_lattice, ((1, 2), [(1, 0), (0, 1, 0)]), r"basis\[1\]",
+                     id="basis-long"),
+        pytest.param(lattices_equal, ([(1, 2)], [(1,)]), r"basis2\[0\]",
+                     id="basis2"),
+        pytest.param(lattices_equal, ([(1, 2), (1,)], []), r"basis1\[1\]",
+                     id="basis1"),
+    ])
+    def test_unequal_lengths_raise_value_error(self, fn, args, name):
+        with pytest.raises(ValueError, match=f"^{name} has "):
+            fn(*args)
+
+    def test_valid_edge_cases_still_answer(self):
+        # an empty basis is the zero lattice; a row with no columns has
+        # the trivial kernel
+        assert not in_lattice((0, 1), [])
+        assert kernel_basis([[]]) == []
+        assert lattices_equal([], [])
