@@ -466,6 +466,19 @@ def _euclid(m11: int, m12: int, m21: int, m22: int, first: Letter, second: Lette
     return word
 
 
+def _decompose_left(m11: int, m12: int, m21: int, m22: int) -> list[LetterPair]:
+    # reduce the first column by row operations
+    return _euclid(m11, m12, m21, m22, _TAU, _RHO, 1, _residual_upper)
+
+
+def _decompose_right(m11: int, m12: int, m21: int, m22: int) -> list[LetterPair]:
+    # reduce the first row by column operations: the row operations on
+    # the transpose, with the word read back to front
+    word = _euclid(m11, m21, m12, m22, _RHO, _TAU, -1, _residual_lower_reversed)
+    word.reverse()
+    return word
+
+
 def decompose(m: Gl2Matrix, strategy: str = "left") -> GeneratorWord:
     """A word w with eval_word(w) = m.  Not canonical.
 
@@ -484,11 +497,9 @@ def decompose(m: Gl2Matrix, strategy: str = "left") -> GeneratorWord:
     _expect(m, Gl2Matrix, "m")
     m11, m12, m21, m22 = m.entries()
     if strategy == "left":
-        letters = _euclid(m11, m12, m21, m22, _TAU, _RHO, 1, _residual_upper)
+        letters = _decompose_left(m11, m12, m21, m22)
     elif strategy == "right":
-        letters = _euclid(m11, m21, m12, m22, _RHO, _TAU, -1,
-                          _residual_lower_reversed)
-        letters.reverse()
+        letters = _decompose_right(m11, m12, m21, m22)
     else:
         raise ValueError(f"unknown strategy {strategy!r} (expected 'left' or 'right')")
     # _euclid returns a reduced word, which GeneratorWord's

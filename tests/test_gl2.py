@@ -470,6 +470,7 @@ def _attribute_loads(code):
 
 @pytest.mark.parametrize("fn", [
     gl2.eval_letters, gl2._normalize, gl2._emit, gl2._euclid,
+    gl2._decompose_left, gl2._decompose_right,
     gl2.format_word, cocycles._by_letter, verify._rand_pairs,
 ], ids=lambda fn: fn.__qualname__)
 def test_hot_loops_read_no_enum_attribute(fn):
