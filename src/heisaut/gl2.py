@@ -437,31 +437,53 @@ def _euclid(m11: int, m12: int, m21: int, m22: int, first: Letter, second: Lette
     # The word comes out reduced, and a word is reduced exactly when its
     # reverse is.  The Euclid steps alternate the two step letters with
     # nonzero exponents: after the first step each quotient divides a
-    # larger entry by a smaller one of the same sign.  Only the m11 == 0
-    # step, which comes first or after a second-letter step, and the
-    # residual can put two equal symbols side by side or an exponent 0,
-    # so only they go through _emit.  The loop ends on a first-letter
-    # step, and the residual starts with the second letter.
+    # larger entry by a smaller one of the same sign.  Only an m11 == 0
+    # step after a second-letter step, and the residual, can put two
+    # equal symbols side by side or an exponent 0, so only they go
+    # through _emit; an m11 == 0 step at the start follows nothing or
+    # kappa.  The loop ends on a first-letter step, and the residual
+    # starts with the second letter.
+    #
+    # The letters depend on the first column alone, so the loop reduces
+    # only (m11, m21); the second column is needed once, for the
+    # residual's offset x.  Let O be the matrix after the kappa step and
+    # the first m11 == 0 step (the only one that reads m22; a later one
+    # changes m11 alone), so o11 != 0.  The loop's row operations
+    # U1..Us end at R = Us*...*U1*O = [[e, x], [0, e]] with e = +-1, so
+    # V = U1^-1*...*Us^-1 = O*R^-1 has row 1 (e*o11, e*o12 - x*o11).
+    # U1^-1, if a B^q step, is lower and leaves row 1 unchanged.  Every
+    # later Ui^-1 is [[1, q], [0, 1]] or [[1, 0], [q, 1]] with q >= 0,
+    # once each later m11 == 0 step (inverse A^-1) is merged with the
+    # A^-q step before it (inverse A^q, q >= 1).  So row 1 of V is row 1
+    # of their product P >= 0, and e*o11 = p11 >= 1, that is
+    # e = sign(o11), and p12 >= 0.  The loop ends on a B^q step, so
+    # P = I (p12 = 0 < 1 = p11) or P = X*[[1, 0], [q, 1]] with q >= 1,
+    # X >= 0 and x11 >= 1, where p12 = x12 < x11 + q*x12 = p11.  So
+    # 0 <= e*o12 - x*o11 < e*o11, and dividing by e*o11 > 0 gives
+    # e*x = floor(o12/o11), that is x = e*(o12 // o11): one floor
+    # division in place of a multiply-subtract per step.
     word: list[LetterPair] = []
     if m11 * m22 - m12 * m21 == -1:
         word.append((_KAPPA, 1))
         m11, m12 = -m11, -m12
+    if not m11:
+        # det forces m21 = +-1; one row addition makes the corner +-1
+        m11, m12 = m21, m12 + m22  # left A
+        word.append((second, -sign))
+    o11, o12 = m11, m12
     while m21:
         if not m11:
-            # det forces m21 = +-1; one row addition makes the corner +-1
-            m11, m12 = m21, m12 + m22  # left A
+            m11 = m21  # left A, as above, after a second-letter step
             _emit(word, second, -sign)
             continue
-        q, m21 = divmod(m21, m11)
+        q, m21 = divmod(m21, m11)  # left B^q
         if q:
-            m22 -= q * m12  # left B^q
             word.append((first, -sign * q))
         if not m21:
             break
-        q, m11 = divmod(m11, m21)
-        m12 -= q * m22  # left A^-q
+        q, m11 = divmod(m11, m21)  # left A^-q
         word.append((second, sign * q))
-    for sym, exp in residual(m11, m12):
+    for sym, exp in residual(m11, m11 * (o12 // o11)):
         _emit(word, sym, exp)
     return word
 
@@ -485,9 +507,11 @@ def decompose(m: Gl2Matrix, strategy: str = "left") -> GeneratorWord:
     Both strategies are one Euclidean reduction, dual under
     transposition: "left" reduces the first column by row operations,
     "right" reduces the first row by column operations, which are the
-    row operations on the transpose (see _euclid).  They generally
-    return different words for the same matrix, so each checks the
-    other.
+    row operations on the transpose (see _euclid).  The reduction
+    carries only the first column (row), and the off-diagonal entry of
+    the triangular rest comes from one floor division at the end.  The
+    strategies generally return different words for the same matrix, so
+    each checks the other.
 
     >>> str(decompose(Gl2Matrix(1, 5, 0, 1)))
     'A^5'

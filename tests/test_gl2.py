@@ -354,6 +354,16 @@ def long_word(length: int, seed: int):
 
 STRATEGIES = ("left", "right")
 
+# (unit, k) -> matrix, for unit = +-1 and |k| <= 30
+EDGE_FAMILIES = {
+    # a zero corner at the start, reached with m22 != 0, at det 1 and -1
+    "zero-corner": lambda unit, k: Gl2Matrix(0, unit, -unit, k),
+    "zero-corner-det-minus-1": lambda unit, k: Gl2Matrix(0, unit, unit, k),
+    # already triangular: the residual alone, or one step then the residual
+    "upper": lambda unit, k: Gl2Matrix(unit, k, 0, unit),
+    "lower": lambda unit, k: Gl2Matrix(unit, 0, k, unit),
+}
+
 
 class TestDecomposeMatchesTwoPass:
     """The one-pass word equals the raw Euclid word after normalization."""
@@ -362,12 +372,20 @@ class TestDecomposeMatchesTwoPass:
     def test_box(self, strategy):
         # zero corners, det -1, q == 0 first steps and both residuals
         merged = 0
-        for m in box_matrices(5):
+        for m in box_matrices(10):
             want, raw_length = two_pass_decompose(m, strategy)
             assert decompose(m, strategy).letters == want
             merged += raw_length > len(want)
         # the box reaches the merging steps, not only clean Euclid runs
         assert merged > 100
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("family", sorted(EDGE_FAMILIES))
+    def test_edge_families(self, family, strategy):
+        for unit in (1, -1):
+            for k in range(-30, 31):
+                m = EDGE_FAMILIES[family](unit, k)
+                assert decompose(m, strategy).letters == two_pass_decompose(m, strategy)[0], m
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("length", [1000, 3000])
