@@ -55,7 +55,7 @@ from collections.abc import Iterable
 
 from . import gl2
 from .gl2 import Gl2Matrix, _power_by_type
-from .heis import _INT, HeisElement, _check_int, _expect, _Value
+from .heis import _INT, HeisElement, _check_int, _expect, _read, _Value
 
 
 class Automorphism(_Value):
@@ -449,10 +449,7 @@ def parse_pair(text: str) -> InnerVector:
     >>> parse_pair("(3, -2)")
     InnerVector(p=3, q=-2)
     """
-    _expect(text, str, "text")
-    m = _PAIR_RE.fullmatch(text.strip())
-    if m is None:
-        raise ValueError(f"not a pair '(p,q)': {text!r}")
+    m = _read(_PAIR_RE, text, "a pair '(p,q)'")
     return InnerVector(int(m.group(1)), int(m.group(2)))
 
 
@@ -468,10 +465,7 @@ def parse_automorphism(text: str) -> Automorphism:
     >>> parse_automorphism("{M=[[1,0],[0,1]], r=3, u=-2}").r
     3
     """
-    _expect(text, str, "text")
-    m = _AUT_RE.fullmatch(text.strip())
-    if m is None:
-        raise ValueError(f"not an automorphism '{{M=[[..]], r=.., u=..}}': {text!r}")
+    m = _read(_AUT_RE, text, "an automorphism '{M=[[..]], r=.., u=..}'")
     return Automorphism(gl2.parse_matrix(m.group(1)), int(m.group(2)), int(m.group(3)))
 
 

@@ -47,8 +47,9 @@ from .aut import (
     section,
 )
 from .gl2 import (
-    _KAPPA, _RHO, _TAU, GeneratorWord, Gl2Matrix, Letter, LetterPair, _affine_power)
-from .heis import _expect, _Value
+    _KAPPA, _RHO, _TAU, GeneratorWord, Gl2Matrix, Letter, LetterPair, _affine_power,
+    _iter_pairs, _raise_if_unpacking)
+from .heis import _expect, _read, _Value
 from .zlattice import Vector, in_lattice, kernel_basis, lattices_equal
 
 
@@ -399,7 +400,12 @@ class SectionOnGenerators(_Value):
         powers and products go through compose's plain-int core only, not
         through the closed forms, and the one Automorphism is built at the
         end.  No letters give IDENTITY_AUT."""
-        return _product_of_powers((self.value(sym), exp) for sym, exp in pairs)
+        try:
+            return _product_of_powers(
+                (self.value(sym), exp) for sym, exp in _iter_pairs(pairs, "pairs"))
+        except (TypeError, ValueError) as error:
+            _raise_if_unpacking(error, "pairs")
+            raise
 
     def __str__(self) -> str:
         return format_section(self)
@@ -483,12 +489,7 @@ def parse_cocycle(text: str) -> Cocycle:
     >>> parse_cocycle("{rho=(0,0), tau=(0,0), kappa=(0,0)}") == ZERO_COCYCLE
     True
     """
-    _expect(text, str, "text")
-    m = _COCYCLE_RE.fullmatch(text.strip())
-    if m is None:
-        raise ValueError(
-            f"not a cocycle '{{rho=(p,q), tau=(p,q), kappa=(p,q)}}': {text!r}"
-        )
+    m = _read(_COCYCLE_RE, text, "a cocycle '{rho=(p,q), tau=(p,q), kappa=(p,q)}'")
     nums = [int(g) for g in m.groups()]
     return Cocycle(
         InnerVector(nums[0], nums[1]),
@@ -509,12 +510,7 @@ _SECTION_RE = re.compile(
 
 def parse_section(text: str) -> SectionOnGenerators:
     """Parse "{rho={M=..,r=..,u=..}, tau={..}, kappa={..}}"."""
-    _expect(text, str, "text")
-    m = _SECTION_RE.fullmatch(text.strip())
-    if m is None:
-        raise ValueError(
-            f"not a section '{{rho={{..}}, tau={{..}}, kappa={{..}}}}': {text!r}"
-        )
+    m = _read(_SECTION_RE, text, "a section '{rho={..}, tau={..}, kappa={..}}'")
     return SectionOnGenerators(*(parse_automorphism(g) for g in m.groups()))
 
 

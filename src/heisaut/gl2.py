@@ -29,7 +29,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import islice
 
 from ._backend import kernels
-from .heis import _INT, _check_int, _expect, _Value
+from .heis import _INT, _check_int, _expect, _read, _Value
 
 
 class Gl2Matrix(_Value):
@@ -227,6 +227,17 @@ def _iter_pairs(pairs: Iterable[LetterPair], name: str) -> Iterator[LetterPair]:
                         f"got {type(pairs).__name__}") from None
 
 
+def _raise_if_unpacking(error: Exception, name: str) -> None:
+    # The letter loops unpack each letter as `sym, exp` with no check of
+    # their own, so a valid word pays nothing per letter.  Their handler
+    # calls this: the interpreter's error on a letter that is not a pair
+    # becomes a TypeError naming the parameter, and any other error,
+    # such as the symbol and exponent checks', is left to its bare raise.
+    if str(error).startswith(("cannot unpack", "too many values", "not enough values")):
+        raise TypeError(f"{name} must be an iterable of (Letter, int) pairs; "
+                        f"{error}") from None
+
+
 def _emit(word: list[LetterPair], sym: Letter, exp: int) -> None:
     # append sym^exp to a reduced word: merge it into an equal last
     # symbol, reduce a kappa exponent mod 2, and drop an exponent 0
@@ -240,14 +251,18 @@ def _emit(word: list[LetterPair], sym: Letter, exp: int) -> None:
 
 def _normalize(letters: Iterable[LetterPair]) -> tuple[LetterPair, ...]:
     stack: list[LetterPair] = []
-    for sym, exp in _iter_pairs(letters, "letters"):
-        if not isinstance(sym, Letter):
-            raise TypeError(f"word symbol must be a Letter, got {sym!r}")
-        if type(exp) is not int:
-            _check_int(exp, "exponent")
-        # a cancelled pair cannot expose two equal symbols: the entries
-        # beneath were already adjacent and distinct
-        _emit(stack, sym, exp)
+    try:
+        for sym, exp in _iter_pairs(letters, "letters"):
+            if not isinstance(sym, Letter):
+                raise TypeError(f"word symbol must be a Letter, got {sym!r}")
+            if type(exp) is not int:
+                _check_int(exp, "exponent")
+            # a cancelled pair cannot expose two equal symbols: the
+            # entries beneath were already adjacent and distinct
+            _emit(stack, sym, exp)
+    except (TypeError, ValueError) as error:
+        _raise_if_unpacking(error, "letters")
+        raise
     return tuple(stack)
 
 
@@ -318,8 +333,9 @@ def eval_letters(pairs: Sequence[LetterPair]) -> Gl2Matrix:
     products Python's Karatsuba multiplication speeds up.  A non-sequence
     iterable is read once.
     Each step keeps det = +-1, so the one Gl2Matrix built at the end
-    skips the determinant check.  A str, a symbol that is not a Letter,
-    or an exponent that is not an int raises TypeError.
+    skips the determinant check.  A str, a letter that is not a pair, a
+    symbol that is not a Letter, or an exponent that is not an int
+    raises TypeError.
 
     >>> eval_letters(((Letter.RHO, 2), (Letter.TAU, 1))) == A ** 2 * B
     True
@@ -330,9 +346,13 @@ def eval_letters(pairs: Sequence[LetterPair]) -> Gl2Matrix:
     except TypeError:  # an iterator: read it once
         pairs = tuple(it)
         n, it = len(pairs), iter(pairs)
-    if n <= _RUN:
-        return Gl2Matrix._of(*_fold_columns(it))
-    runs = [_fold_columns(islice(it, _RUN)) for _ in range(0, n, _RUN)]
+    try:
+        if n <= _RUN:
+            return Gl2Matrix._of(*_fold_columns(it))
+        runs = [_fold_columns(islice(it, _RUN)) for _ in range(0, n, _RUN)]
+    except (TypeError, ValueError) as error:
+        _raise_if_unpacking(error, "pairs")
+        raise
     while len(runs) > 1:
         tail = runs[-1:] if len(runs) % 2 else []
         runs = [kernels.mat_mul(*x, *y) for x, y in zip(runs[::2], runs[1::2])] + tail
@@ -546,10 +566,7 @@ def parse_matrix(text: str) -> Gl2Matrix:
     >>> parse_matrix("[[1, 1], [0, 1]]") == A
     True
     """
-    _expect(text, str, "text")
-    m = _MATRIX_RE.fullmatch(text.strip())
-    if m is None:
-        raise ValueError(f"not a matrix '[[a,b],[c,d]]': {text!r}")
+    m = _read(_MATRIX_RE, text, "a matrix '[[a,b],[c,d]]'")
     return Gl2Matrix(*(int(m.group(i)) for i in range(1, 5)))
 
 

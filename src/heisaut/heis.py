@@ -276,6 +276,22 @@ def is_central(g: HeisElement) -> bool:
 # underscores, a plus sign, surrounding space and non-ASCII digits.
 _INT = r"(-?[0-9]+)"
 
+
+def _read(pattern: re.Pattern[str], text: str, shape: str) -> re.Match[str]:
+    # The one rule of the value syntaxes that parse_* read: the text must
+    # be a str, surrounding space is ignored, and the rest must match
+    # pattern whole, else ValueError "not <shape>: <text>".  Each parser
+    # keeps only the conversion of the groups.  parse_word keeps its own
+    # rule, one match per space-separated token with a message that names
+    # the token, and so does cli.integer: it strips nothing, and argparse
+    # writes its message.
+    _expect(text, str, "text")
+    m = pattern.fullmatch(text.strip())
+    if m is None:
+        raise ValueError(f"not {shape}: {text!r}")
+    return m
+
+
 _ELEMENT_RE = re.compile(rf"\(\s*{_INT}\s*,\s*{_INT}\s*,\s*{_INT}\s*\)")
 
 
@@ -285,10 +301,7 @@ def parse_element(text: str) -> HeisElement:
     >>> parse_element(" ( 1, -2,3 ) ") == HeisElement(1, -2, 3)
     True
     """
-    _expect(text, str, "text")
-    m = _ELEMENT_RE.fullmatch(text.strip())
-    if m is None:
-        raise ValueError(f"not an element triple '(a,b,c)': {text!r}")
+    m = _read(_ELEMENT_RE, text, "an element triple '(a,b,c)'")
     return HeisElement(int(m.group(1)), int(m.group(2)), int(m.group(3)))
 
 

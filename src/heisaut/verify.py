@@ -12,8 +12,8 @@ Twister stream, not on random.py's helper code.
 
 Sampling ranges: element coordinates and center offsets are uniform in
 [-10^9, 10^9]; matrices are built as random generator words of length
-at most 20 (guaranteeing determinant +-1); shear parameters d are
-uniform in [-10^6, 10^6].
+at most 20 (guaranteeing determinant +-1), and word-long's words have
+33 to 129 letters; shear parameters d are uniform in [-10^6, 10^6].
 
 A sampled suite has one failure path: a check that fails raises
 _Mismatch(inputs, expected, actual) with the two sides it compared, so
@@ -29,7 +29,9 @@ generic route it replaced: word folds for section() and extend(), the
 compose route for normal_form(), power() and section_difference() (for
 power() also at each conjugacy type of its matrix, in power-types), and
 the 10 x 6 relator system for Cocycle's four lattice conditions and the
-violation it reports.
+violation it reports.  word-long checks the product tree by which
+eval_letters multiplies the runs of a word of more than 32 letters
+against one column fold over all its letters.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ ELEMENT_BOUND = 10**9
 D_BOUND = 10**6
 WORD_LENGTH = 20
 WORD_EXPONENT = 9
+LONG_WORD_LENGTH = 129
 
 
 class Failure(heis._Value):
@@ -376,6 +379,25 @@ def _word_normalize(rng: random.Random) -> None:
         )
         if bad:
             raise _Mismatch(f"normal form w={w}", "normalized letters", w.letters)
+
+
+@_sampled("word-long")
+def _word_long(rng: random.Random) -> None:
+    # gl2._RUN + 1 to LONG_WORD_LENGTH letters, uniformly, drawn in
+    # chunks of _rand_pairs: eval_letters folds them in two to five runs
+    # and multiplies those by its product tree, where an odd count leaves
+    # a tail.  Checked against one column fold over all the letters.
+    half = (LONG_WORD_LENGTH - gl2._RUN - 1) // 2
+    n = gl2._RUN + 1 + half + _rand_int(rng, half)
+    pairs: list[gl2.LetterPair] = []
+    while len(pairs) < n:
+        pairs += _rand_pairs(rng)
+    del pairs[n:]
+    folded = gl2.Gl2Matrix(*gl2._fold_columns(pairs))
+    got = gl2.eval_letters(pairs)
+    if got != folded:
+        raw = " ".join(f"{sym.value}^{exp}" for sym, exp in pairs)
+        raise _Mismatch(f"{n} letters raw={raw!r}", folded, got)
 
 
 @_static("matrix-relations")

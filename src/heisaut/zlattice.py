@@ -136,9 +136,9 @@ def _in_echelon(vector: Sequence[int], echelon: list[Vector]) -> bool:
     # in_lattice against an echelon basis of the lattice
     target = list(vector)
     for col in echelon:
-        lead = next((i for i, e in enumerate(col) if e != 0), None)
-        if lead is None:
-            continue
+        # _echelon returns only pivot columns, and the pivot column of row
+        # r is zero above r and nonzero at r, so every column has a lead
+        lead = next(i for i, e in enumerate(col) if e != 0)
         q, rem = divmod(target[lead], col[lead])
         if rem != 0:
             # leading indices strictly increase, so no later column can

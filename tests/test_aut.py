@@ -116,6 +116,10 @@ class TestCompose:
         assert project(compose(omega2, omega1)) == \
             gl2.mat_multiply(project(omega2), project(omega1))
 
+    @given(automorphisms, automorphisms)
+    def test_mul_operator_is_compose(self, omega2, omega1):
+        assert omega2 * omega1 == compose(omega2, omega1)
+
 
 class TestInvert:
     def test_fixed_values(self):
@@ -134,6 +138,10 @@ class TestInvert:
         for _ in range(abs(n)):
             acc = compose(acc, base)
         assert power(omega, n) == acc
+
+    @given(automorphisms, st.integers(min_value=-8, max_value=8))
+    def test_pow_operator_is_power(self, omega, n):
+        assert omega ** n == power(omega, n)
 
 
 class TestRd:

@@ -671,7 +671,7 @@ def test_verify_help_lists_every_suite(capsys):
     # argparse may wrap the list at any space or hyphen
     text = "".join(_help(capsys, "verify").split())
     assert "available:" + ",".join(verify.available_suites()) in text
-    assert len(verify.available_suites()) == 30
+    assert len(verify.available_suites()) == 31
 
 
 # ---------------------------------------------------------------------------

@@ -471,6 +471,13 @@ class TestSyntax:
         with pytest.raises(ValueError):
             parse_cocycle(bad)
 
+    def test_section_rejects_garbage(self):
+        text = "{rho={M=[[1,0],[0,1]], r=0, u=0}}"
+        with pytest.raises(ValueError) as info:
+            parse_section(text)
+        assert str(info.value) == \
+            f"not a section '{{rho={{..}}, tau={{..}}, kappa={{..}}}}': {text!r}"
+
     def test_parse_validates(self):
         with pytest.raises(RelatorViolation):
             parse_cocycle("{rho=(0,1), tau=(0,0), kappa=(0,0)}")

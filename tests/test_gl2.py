@@ -188,6 +188,16 @@ class TestWordNormalization:
         ))
         assert w == EMPTY_WORD
 
+    def test_len_counts_normalized_letters(self):
+        w = GeneratorWord(((Letter.RHO, 2), (Letter.RHO, 3), (Letter.KAPPA, 1)))
+        assert len(w) == len(w.letters) == 2
+        assert len(EMPTY_WORD) == 0
+
+    def test_rejects_non_letter_symbol(self):
+        with pytest.raises(TypeError) as info:
+            GeneratorWord([("A", 1)])
+        assert str(info.value) == "word symbol must be a Letter, got 'A'"
+
     def test_kappa_exponents_fold_mod_two(self):
         assert GeneratorWord(((Letter.KAPPA, -3),)).letters == ((Letter.KAPPA, 1),)
         assert GeneratorWord(((Letter.KAPPA, 4),)) == EMPTY_WORD

@@ -174,3 +174,8 @@ class TestOperatorSugar:
         assert g ** -7 == power(g, -7)
         assert g.inverse() == inverse(g)
         assert str(g) == "(1,2,3)"
+
+    def test_abpair_neg_is_the_additive_inverse(self):
+        v = AbPair(3, -2)
+        assert -v == AbPair(-3, 2)
+        assert v + -v == AbPair(0, 0)

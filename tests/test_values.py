@@ -146,6 +146,38 @@ def test_word_text_rejected(build):
         build("A B")
 
 
+@pytest.mark.parametrize("build, name", [
+    (GeneratorWord, "letters"),
+    (eval_letters, "pairs"),
+    (canonical_section().eval_letters, "pairs"),
+], ids=["GeneratorWord", "eval_letters", "section-eval_letters"])
+@pytest.mark.parametrize("letters", [
+    [(Letter.RHO, 1, 2)],
+    [(Letter.RHO,)],
+    [5],
+    b"AB",
+    # past gl2._RUN letters, where eval_letters folds in runs
+    [(Letter.RHO, 1), (Letter.TAU, 1)] * 20 + [(Letter.KAPPA, 1, 0)],
+], ids=["triple", "single", "int", "bytes", "long-word"])
+def test_word_letter_shape_rejected(build, name, letters):
+    # a letter that does not unpack as (symbol, exponent) is a TypeError
+    # naming the parameter, not the interpreter's unpacking error; an
+    # iterator is read once, by another route through eval_letters
+    for arg in (letters, iter(letters)):
+        with pytest.raises(TypeError, match=rf"^{name} must be an iterable of "
+                                            r"\(Letter, int\) pairs; "):
+            build(arg)
+
+
+def test_section_eval_letters_checks_its_argument():
+    alpha = canonical_section()
+    with pytest.raises(TypeError, match="not a str; .*gl2.parse_word$"):
+        alpha.eval_letters("A B")
+    with pytest.raises(TypeError, match="^pairs must be an iterable of "
+                                        r"\(Letter, int\) pairs, got int$"):
+        alpha.eval_letters(5)
+
+
 def test_word_exponent_int_subclass_accepted():
     raw = ((Letter.RHO, Big(2)), (Letter.KAPPA, Big(3)))
     assert GeneratorWord(raw) == GeneratorWord(((Letter.RHO, 2), (Letter.KAPPA, 1)))
