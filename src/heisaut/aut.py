@@ -40,6 +40,10 @@ apply and compose compute P and Q anyway, as coordinates of the image
 or entries of the matrix product.  compose uses the two bracketed
 factors for both columns, and in invert P*Q = 0.
 
+Each formula multiplies by det M = +-1, which gl2._unit_det reads from
+the entries mod 4 instead of from the two entry-sized products of
+m11*m22 - m12*m21 (the proof is in its docstring).
+
 compose and invert run on the plain-int data (m11, m12, m21, m22, r, u)
 of an automorphism, in the private cores _compose_data and _invert_data.
 The word folds (_compose_power and SectionOnGenerators.eval_letters,
@@ -54,7 +58,7 @@ import re
 from collections.abc import Iterable
 
 from . import gl2
-from .gl2 import Gl2Matrix, _power_by_type
+from .gl2 import Gl2Matrix, _power_by_type, _unit_det
 from .heis import _INT, HeisElement, _check_int, _expect, _read, _Value
 
 
@@ -157,7 +161,7 @@ def apply(omega: Automorphism, g: HeisElement) -> HeisElement:
     m11, m12, m21, m22 = m.m11, m.m12, m.m21, m.m22
     a, b = g.a, g.b
     p, q = a * m11 + b * m12, a * m21 + b * m22
-    d = m11 * m22 - m12 * m21
+    d = _unit_det(m11, m12, m21, m22)
     return HeisElement._of(p, q, d * g.c + (
         a * (2 * omega.r - m11 * m21) + b * (2 * omega.u - m12 * m22)
         + p * q - d * a * b) // 2)
@@ -206,7 +210,7 @@ def _compose_data(n: tuple[int, ...], m: tuple[int, ...]) -> tuple[int, ...]:
     m11, m12, m21, m22, r1, u1 = m
     p11, p12 = n11 * m11 + n12 * m21, n11 * m12 + n12 * m22
     p21, p22 = n21 * m11 + n22 * m21, n21 * m12 + n22 * m22
-    d = n11 * n22 - n12 * n21
+    d = _unit_det(n11, n12, n21, n22)
     x, y = 2 * r2 - n11 * n21, 2 * u2 - n12 * n22
     return (p11, p12, p21, p22,
             d * r1 + (m11 * x + m21 * y + p11 * p21 - d * m11 * m21) // 2,
@@ -234,7 +238,7 @@ def invert(omega: Automorphism) -> Automorphism:
 def _invert_data(t: tuple[int, ...]) -> tuple[int, ...]:
     # invert's formula on data (m11, m12, m21, m22, r, u)
     m11, m12, m21, m22, r, u = t
-    d = m11 * m22 - m12 * m21
+    d = _unit_det(m11, m12, m21, m22)
     n11, n12, n21, n22 = d * m22, -d * m12, -d * m21, d * m11
     x, y = 2 * r - m11 * m21, 2 * u - m12 * m22
     return (n11, n12, n21, n22,
@@ -277,7 +281,7 @@ def power(omega: Automorphism, n: int) -> Automorphism:
     # M^n has det (det M)^n = +-1; inner((p, q)) moves section(M^n)'s
     # offsets as in normal_form's proof
     m11, m12, m21, m22 = mn
-    r, u = _section_offsets(m11, m12, m21, m22, m11 * m22 - m12 * m21)
+    r, u = _section_offsets(m11, m12, m21, m22, _unit_det(m11, m12, m21, m22))
     return Automorphism._of(Gl2Matrix._of(m11, m12, m21, m22),
                             r + p * m21 - q * m11, u + p * m22 - q * m12)
 
@@ -379,7 +383,9 @@ def section(m: Gl2Matrix) -> Automorphism:
     '(1,0,0)'
     """
     _expect(m, Gl2Matrix, "m")
-    return Automorphism._of(m, *_section_offsets(m.m11, m.m12, m.m21, m.m22, m.det))
+    m11, m12, m21, m22 = m.m11, m.m12, m.m21, m.m22
+    return Automorphism._of(m, *_section_offsets(m11, m12, m21, m22,
+                                                 _unit_det(m11, m12, m21, m22)))
 
 
 def _section_offsets(m11: int, m12: int, m21: int, m22: int,
@@ -420,7 +426,7 @@ def normal_form(omega: Automorphism) -> tuple[InnerVector, Gl2Matrix]:
 def _normal_vector(t: tuple[int, ...]) -> tuple[int, int]:
     # normal_form's v on data (m11, m12, m21, m22, r, u)
     m11, m12, m21, m22, r, u = t
-    d = m11 * m22 - m12 * m21
+    d = _unit_det(m11, m12, m21, m22)
     sr, su = _section_offsets(m11, m12, m21, m22, d)
     x, y = r - sr, u - su
     return d * (m11 * y - m12 * x), d * (m21 * y - m22 * x)
@@ -435,7 +441,7 @@ def is_aut_plus(omega: Automorphism) -> bool:
     """True iff the matrix lands in SL(2,Z); these are exactly the
     automorphisms acting as the identity on the center."""
     _expect(omega, Automorphism, "omega")
-    return omega.matrix.det == 1
+    return _unit_det(*omega.matrix.entries()) == 1
 
 
 # "(p,q)", shared with the cocycle syntax

@@ -32,6 +32,24 @@ from ._backend import kernels
 from .heis import _INT, _check_int, _expect, _read, _Value
 
 
+def _unit_det(m11: int, m12: int, m21: int, m22: int) -> int:
+    """det M of a matrix known to have det +-1, read from its entries
+    mod 4: two products of numbers below 4 in place of two products of
+    the entries.  The entries must come from a Gl2Matrix or from
+    automorphism data; anything else gives a meaningless +-1.
+
+    Proof.  det M is +1 or -1, and +1 and -1 differ mod 4 (they are 1
+    and 3).  det M = m11*m22 - m12*m21 is congruent mod 4 to
+    (m11 mod 4)(m22 mod 4) - (m12 mod 4)(m21 mod 4), and Python's x & 3
+    is x mod 4 for negative x too.  So the masked difference is 1 or 3,
+    and 2 minus it is det M.
+
+    >>> _unit_det(2, 3, 3, 5), _unit_det(-2, 3, 3, -4)
+    (1, -1)
+    """
+    return 2 - (((m11 & 3) * (m22 & 3) - (m12 & 3) * (m21 & 3)) & 3)
+
+
 class Gl2Matrix(_Value):
     """An integer 2x2 matrix with determinant +1 or -1."""
 
@@ -108,7 +126,7 @@ def mat_inverse(m: Gl2Matrix) -> Gl2Matrix:
     """
     # d times the adjugate; its det is d^2 * det m = d
     _expect(m, Gl2Matrix, "m")
-    d = m.det
+    d = _unit_det(m.m11, m.m12, m.m21, m.m22)
     return Gl2Matrix._of(d * m.m22, -d * m.m12, -d * m.m21, d * m.m11)
 
 
@@ -169,7 +187,7 @@ def _power_by_type(
     det(M - I) = det M - t + 1 = 2 - t > 0.  For det -1, S_2 = I + M.
     """
     m11, m12, m21, m22 = m
-    t, det = m11 + m22, m11 * m22 - m12 * m21
+    t, det = m11 + m22, _unit_det(m11, m12, m21, m22)
     if det == 1 and (t == 2 or t == -2):
         e, odd = t >> 1, n & 1
         v1, v2 = v
@@ -483,7 +501,7 @@ def _euclid(m11: int, m12: int, m21: int, m22: int, first: Letter, second: Lette
     # e*x = floor(o12/o11), that is x = e*(o12 // o11): one floor
     # division in place of a multiply-subtract per step.
     word: list[LetterPair] = []
-    if m11 * m22 - m12 * m21 == -1:
+    if _unit_det(m11, m12, m21, m22) == -1:
         word.append((_KAPPA, 1))
         m11, m12 = -m11, -m12
     if not m11:

@@ -123,10 +123,11 @@ def _make_init(cls: type, fields: tuple[str, ...]) -> None:
         source += ("    self.__post_init__()\n"
                    f"def _of(cls, {params}):\n    self = _new(cls)\n{sets}"
                    "    return self\n")
-    # __name__ makes the functions' __module__ the class's
+    # __name__ makes the functions' __module__ the class's, and the
+    # filename names the class in tracebacks and profiles
     namespace = {"_set": object.__setattr__, "_new": object.__new__,
                  "__name__": cls.__module__}
-    exec(source, namespace)
+    exec(compile(source, f"<{cls.__module__}.{cls.__qualname__}>", "exec"), namespace)
     # TypeError messages name a function by it: "HeisElement.__init__()"
     namespace["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
     cls.__init__ = namespace["__init__"]

@@ -331,16 +331,22 @@ def _commutator_oracle(rng: random.Random) -> None:
 
 @_sampled("word-roundtrip")
 def _word_roundtrip(rng: random.Random) -> None:
-    m = _rand_matrix(rng)
-    for strategy in ("left", "right"):
-        w = gl2.decompose(m, strategy)
-        back = gl2.eval_word(w)
-        if back != m:
-            raise _Mismatch(f"strategy={strategy} M={m} word={w}", m, back)
-        # decompose builds its word unchecked, so it must be normalized
-        normalized = gl2.GeneratorWord(w.letters)
-        if normalized != w:
-            raise _Mismatch(f"normalized strategy={strategy} M={m}", normalized, w)
+    drawn = _rand_matrix(rng)
+    # short words rarely give a zero corner m11 == 0 with m22 != 0, where
+    # the Euclid reduction starts with a step that reads m22; this matrix
+    # has one, at the drawn det, under both strategies (its transpose
+    # has the zero corner too), and needs no draws of its own
+    corner = gl2.Gl2Matrix(0, -drawn.det, 1, drawn.m22)
+    for m in (drawn, corner):
+        for strategy in ("left", "right"):
+            w = gl2.decompose(m, strategy)
+            back = gl2.eval_word(w)
+            if back != m:
+                raise _Mismatch(f"strategy={strategy} M={m} word={w}", m, back)
+            # decompose builds its word unchecked, so it must be normalized
+            normalized = gl2.GeneratorWord(w.letters)
+            if normalized != w:
+                raise _Mismatch(f"normalized strategy={strategy} M={m}", normalized, w)
 
 
 @_sampled("word-det")

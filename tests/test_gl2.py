@@ -28,6 +28,7 @@ from heisaut.gl2 import (
     parse_word,
     _affine_power,
     _power_by_type,
+    _unit_det,
 )
 
 letter_pairs = st.tuples(
@@ -416,6 +417,42 @@ class TestDecomposeMatchesTwoPass:
     def test_huge_quotients(self, raw, strategy):
         m = eval_letters(raw)
         assert decompose(m, strategy).letters == two_pass_decompose(m, strategy)[0]
+
+
+class TestUnitDet:
+    """_unit_det reads det M from the entries mod 4; Gl2Matrix.det keeps
+    the full product."""
+
+    def test_box(self):
+        # both determinants, every residue class of the entries mod 4
+        for m in box_matrices(10):
+            assert _unit_det(*m.entries()) == m.det, m
+
+    @pytest.mark.parametrize("det", [1, -1])
+    def test_at_5000_bits(self, det):
+        # the matrices of 1000- and 3000-letter words, as the offset tests
+        # at 5000 bits build them, then negated and sheared by 2000-bit
+        # parameters of both signs
+        rng = random.Random(det)
+        checked = []
+        for length in (1000, 3000):
+            m = eval_letters(long_word(length, seed=length + det))
+            if m.det != det:
+                m = mat_multiply(m, D)
+            checked += [m, mat_multiply(m, Gl2Matrix(-1, 0, 0, -1))]
+            for sign in (1, -1):
+                d = sign * (rng.getrandbits(2000) | 1 << 1999)
+                checked += [mat_multiply(m, Gl2Matrix(1, d, 0, 1)),
+                            mat_multiply(Gl2Matrix(1, 0, d, 1), m)]
+        entries = [x for m in checked for x in m.entries()]
+        assert max(x.bit_length() for x in entries) >= 5000
+        assert min(entries) < 0
+        for m in checked:
+            assert _unit_det(*m.entries()) == m.det == det
+
+    def test_det_property_is_the_full_product(self):
+        # an _of-built value skips the check; det must still tell the truth
+        assert Gl2Matrix._of(2, 0, 0, 3).det == 6
 
 
 class TestRelations:

@@ -603,3 +603,15 @@ def test_foreign_argument_names_its_parameter(fn, required, name):
             for p in required]
     with pytest.raises(TypeError, match=f"^{name} must be "):
         fn(*args)
+
+
+GENERATED = [cls for cls, _, _ in VALUES if cls is not GeneratorWord]
+
+
+@pytest.mark.parametrize("cls", GENERATED, ids=[cls.__name__ for cls in GENERATED])
+def test_generated_code_names_its_class(cls):
+    # tracebacks and profiles tell the generated functions apart by it
+    filename = f"<{cls.__module__}.{cls.__qualname__}>"
+    assert cls.__init__.__code__.co_filename == filename
+    if "_of" in vars(cls):
+        assert cls._of.__code__.co_filename == filename
