@@ -30,17 +30,18 @@ S_n v by the conjugacy type of M: O(1) big-int operations for parabolic
 M (every rd(d)) and finite-order M, O(log n) only for hyperbolic M.
 
 apply(), compose() and invert() share one formula for a center offset,
-the c-coordinate omega gives (a, b, 0).  They evaluate it in a product
-form, proved in apply's docstring: with (P, Q) = M (a, b), twice the
-offset is
+the c-coordinate omega gives (a, b, 0).  They build it from the column
+products that the image is made of, proved in apply's docstring: with
+(P1, Q1) = a (m11, m21) and (P2, Q2) = b (m12, m22), the image is
+(P1 + P2, Q1 + Q2) and the offset is
 
-    a*(2r - m11*m21) + b*(2u - m12*m22) + P*Q - det*a*b.
+    a*r + b*u + (P1*(Q1 - m21) + P2*(Q2 - m22 + 2*Q1)) / 2.
 
-apply and compose compute P and Q anyway, as coordinates of the image
-or entries of the matrix product.  compose uses the two bracketed
-factors for both columns, and in invert P*Q = 0.
+compose takes the eight products of N's entries with M's as both the
+entries of N*M and its offsets.  invert's offsets follow from the same
+form in closed form, with no det M in them (proved in its docstring).
 
-Each formula multiplies by det M = +-1, which gl2._unit_det reads from
+The formulas multiply by det M = +-1, which gl2._unit_det reads from
 the entries mod 4 instead of from the two entry-sized products of
 m11*m22 - m12*m21 (the proof is in its docstring).
 
@@ -139,16 +140,16 @@ def apply(omega: Automorphism, g: HeisElement) -> HeisElement:
         t = a*r + b*u + C(a,2)*m11*m21 + C(b,2)*m12*m22 + a*b*m12*m21,
 
     which is the expansion of omega(z)^c * omega(y)^b * omega(x)^a;
-    every integer triple is an element.  The offset t is evaluated in
-    the product form
+    every integer triple is an element.  The image and t are built from
+    the column products P1 = a*m11, Q1 = a*m21, P2 = b*m12, Q2 = b*m22:
+    (P, Q) = (P1 + P2, Q1 + Q2) and
 
-        2t = a*(2r - m11*m21) + b*(2u - m12*m22) + P*Q - det*a*b.
+        t = a*r + b*u + (P1*(Q1 - m21) + P2*(Q2 - m22 + 2*Q1)) / 2.
 
-    Proof.  P*Q = a^2*m11*m21 + a*b*(m11*m22 + m12*m21) + b^2*m12*m22,
-    and m11*m22 + m12*m21 = det + 2*m12*m21.  So P*Q - det*a*b -
-    a*m11*m21 - b*m12*m22 = (a^2 - a)*m11*m21 + (b^2 - b)*m12*m22 +
-    2*a*b*m12*m21, which is 2t - 2*(a*r + b*u); adding 2*(a*r + b*u)
-    gives the product form.
+    Proof.  P1*(Q1 - m21) = a*(a - 1)*m11*m21 = 2*C(a,2)*m11*m21,
+    P2*(Q2 - m22) = 2*C(b,2)*m12*m22 and 2*P2*Q1 = 2*a*b*m12*m21, so the
+    bracket is twice the C(a,2) terms of t.  Both of its summands are
+    even, as a*(a - 1) and b*(b - 1) are, so the division is exact.
 
     >>> str(apply(section(gl2.A), HeisElement(1, -1, 0)))
     '(0,-1,1)'
@@ -160,11 +161,10 @@ def apply(omega: Automorphism, g: HeisElement) -> HeisElement:
     m = omega.matrix
     m11, m12, m21, m22 = m.m11, m.m12, m.m21, m.m22
     a, b = g.a, g.b
-    p, q = a * m11 + b * m12, a * m21 + b * m22
-    d = _unit_det(m11, m12, m21, m22)
-    return HeisElement._of(p, q, d * g.c + (
-        a * (2 * omega.r - m11 * m21) + b * (2 * omega.u - m12 * m22)
-        + p * q - d * a * b) // 2)
+    p1, q1, p2, q2 = a * m11, a * m21, b * m12, b * m22
+    return HeisElement._of(p1 + p2, q1 + q2, _unit_det(m11, m12, m21, m22) * g.c
+                           + a * omega.r + b * omega.u
+                           + (p1 * (q1 - m21) + p2 * (q2 - m22 + 2 * q1)) // 2)
 
 
 def compose(omega2: Automorphism, omega1: Automorphism) -> Automorphism:
@@ -174,11 +174,12 @@ def compose(omega2: Automorphism, omega1: Automorphism) -> Automorphism:
     Its offsets are omega2 applied to omega1's generator images: the
     c-coordinate of omega2((m11, m21, r1)) is det N * r1 plus the
     offset t that apply() gives for (a, b) = (m11, m21), and likewise
-    for y with (m12, m22).  In t's product form, (P, Q) = N (a, b) is
-    the matching column of N*M, and the factors 2*r2 - n11*n21 and
-    2*u2 - n12*n22 are the same for both columns.  N*M has det +-1, and
-    any integer offsets make an automorphism.  The formula runs on the
-    plain-int data in _compose_data, the core the word folds share.
+    for y with (m12, m22).  In apply's column-product form for that
+    (a, b), P1 + P2 and Q1 + Q2 are the matching column of N*M, so the
+    eight products of N's entries with M's give both the entries of N*M
+    and both offsets.  N*M has det +-1, and any integer offsets make an
+    automorphism.  The formula runs on the plain-int data in
+    _compose_data, the core the word folds share.
 
     >>> compose(IDENTITY_AUT, rd(7)) == rd(7)
     True
@@ -204,29 +205,46 @@ def _of_data(t: tuple[int, ...]) -> Automorphism:
 
 
 def _compose_data(n: tuple[int, ...], m: tuple[int, ...]) -> tuple[int, ...]:
-    # compose's product form on data (m11, m12, m21, m22, r, u):
-    # n is omega2's, m is omega1's
+    # compose's column-product form on data (m11, m12, m21, m22, r, u):
+    # n is omega2's, m is omega1's.  Column k of M times N's entries,
+    # laid out as N is, gives [[ak, bk], [ck, dk]]: the k-th column of
+    # N*M is (ak + bk, ck + dk), and (ak, ck, bk, dk) are apply's
+    # (P1, Q1, P2, Q2) for (a, b) = that column of M
     n11, n12, n21, n22, r2, u2 = n
     m11, m12, m21, m22, r1, u1 = m
-    p11, p12 = n11 * m11 + n12 * m21, n11 * m12 + n12 * m22
-    p21, p22 = n21 * m11 + n22 * m21, n21 * m12 + n22 * m22
-    d = _unit_det(n11, n12, n21, n22)
-    x, y = 2 * r2 - n11 * n21, 2 * u2 - n12 * n22
-    return (p11, p12, p21, p22,
-            d * r1 + (m11 * x + m21 * y + p11 * p21 - d * m11 * m21) // 2,
-            d * u1 + (m12 * x + m22 * y + p12 * p22 - d * m12 * m22) // 2)
+    a1, b1, c1, d1 = n11 * m11, n12 * m21, n21 * m11, n22 * m21
+    a2, b2, c2, d2 = n11 * m12, n12 * m22, n21 * m12, n22 * m22
+    det = _unit_det(n11, n12, n21, n22)
+    return (a1 + b1, a2 + b2, c1 + d1, c2 + d2,
+            det * r1 + m11 * r2 + m21 * u2
+            + (a1 * (c1 - n21) + b1 * (d1 - n22 + 2 * c1)) // 2,
+            det * u1 + m12 * r2 + m22 * u2
+            + (a2 * (c2 - n21) + b2 * (d2 - n22 + 2 * c2)) // 2)
 
 
 def invert(omega: Automorphism) -> Automorphism:
-    """omega^-1.  The matrix part is M^-1 = det * adj(M); each center
-    offset is pinned by one linear equation with unit coefficient
-    det(M), e.g. the offset r' of omega^-1 must satisfy
-    omega((n11, n21, r')) = x where (n11, n21) is the first column of
-    M^-1, and r' enters that c-coordinate as det * r'.  So r' = -det * t,
-    where t is the offset apply() gives for (a, b) = (n11, n21).  In t's
-    product form (P, Q) = M (n11, n21) = (1, 0), because M times a column
-    of M^-1 is a unit vector, so P*Q = 0; likewise for the second
-    column.  Integer offsets make an automorphism.
+    """omega^-1.  The matrix part is M^-1 = det * adj(M), and the
+    offsets are
+
+        r' = u*m21 - r*m22 - m21*m22*(m12 - m11 + 1)/2,
+        u' = r*m12 - u*m11 - m11*m12*(m21 - m22 + 1)/2.
+
+    Proof.  Write d = det M.  The offset r' of omega^-1 is pinned by one
+    linear equation with unit coefficient d: omega((n11, n21, r')) = x,
+    where (n11, n21) = (d*m22, -d*m21) is the first column of M^-1, and
+    r' enters that c-coordinate as d*r'.  So r' = -d*t, where t is the
+    offset apply() gives for (a, b) = (n11, n21).  As d^2 = 1,
+    2*C(a,2) = m22^2 - d*m22, 2*C(b,2) = m21^2 + d*m21 and
+    a*b = -m21*m22, so the quadratic terms of t sum to
+    m21*m22*(m11*m22 - m12*m21 - d*m11 + d*m12)/2, which is
+    d*m21*m22*(m12 - m11 + 1)/2; with -d*(a*r + b*u) = u*m21 - r*m22
+    this gives r'.  u' follows likewise from the second column
+    d*(-m12, m11).  The divisions are exact: if m21 and m22 are both
+    odd, d = m11*m22 - m12*m21 is congruent to m11 - m12 mod 2, and d
+    is odd, so m12 - m11 + 1 is even; likewise for u'.  They are
+    evaluated as r' = m21*(2*u - m22*(m12 - m11 + 1))/2 - r*m22 and
+    u' = m12*(2*r - m11*(m21 - m22 + 1))/2 - u*m11, three products
+    each.  Integer offsets make an automorphism.
 
     >>> invert(section(gl2.D)) == section(gl2.D)
     True
@@ -236,14 +254,12 @@ def invert(omega: Automorphism) -> Automorphism:
 
 
 def _invert_data(t: tuple[int, ...]) -> tuple[int, ...]:
-    # invert's formula on data (m11, m12, m21, m22, r, u)
+    # invert's closed form on data (m11, m12, m21, m22, r, u)
     m11, m12, m21, m22, r, u = t
     d = _unit_det(m11, m12, m21, m22)
-    n11, n12, n21, n22 = d * m22, -d * m12, -d * m21, d * m11
-    x, y = 2 * r - m11 * m21, 2 * u - m12 * m22
-    return (n11, n12, n21, n22,
-            -d * ((n11 * x + n21 * y - d * n11 * n21) // 2),
-            -d * ((n12 * x + n22 * y - d * n12 * n22) // 2))
+    return (d * m22, -d * m12, -d * m21, d * m11,
+            m21 * (2 * u - m22 * (m12 - m11 + 1)) // 2 - r * m22,
+            m12 * (2 * r - m11 * (m21 - m22 + 1)) // 2 - u * m11)
 
 
 def power(omega: Automorphism, n: int) -> Automorphism:

@@ -191,7 +191,18 @@ def _cmd_twist(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from . import verify
+    try:
+        from . import verify
+    except ImportError:
+        raise
+    except Exception as exc:
+        # a defect that raises while the library loads (cocycles builds
+        # the canonical section at import) violates a property, as a
+        # failed suite does; a missing module stays a usage error
+        print(f"heis-aut: property violated while loading verify: "
+              f"{type(exc).__name__}: {str(exc).translate(_LINE_BREAKS)}",
+              file=sys.stderr)
+        return 2
     from ._backend import backend_name
 
     available = verify.available_suites()

@@ -223,7 +223,9 @@ def inverse(g: HeisElement) -> HeisElement:
 def power(g: HeisElement, n: int) -> HeisElement:
     """n-th power, any integer n: (na, nb, nc + (n(n-1)/2)*ab).
 
-    n(n-1) is always even, so the division is exact.
+    With (P, Q) = (na, nb), the c-coordinate is nc + P*(Q - b)/2:
+    P*(Q - b) = na*(n - 1)b = n(n-1)*ab, so it reuses the image's
+    coordinates, and n(n-1) is always even, so the division is exact.
 
     >>> str(power(HeisElement(1, 1, 0), 2))
     '(2,2,1)'
@@ -232,8 +234,8 @@ def power(g: HeisElement, n: int) -> HeisElement:
     """
     _expect(g, HeisElement, "g")
     _check_int(n, "n")
-    a, b = g.a, g.b
-    return HeisElement._of(n * a, n * b, n * g.c + (n * (n - 1) // 2) * a * b)
+    p, q = n * g.a, n * g.b
+    return HeisElement._of(p, q, n * g.c + p * (q - g.b) // 2)
 
 
 def commutator(g1: HeisElement, g2: HeisElement) -> HeisElement:

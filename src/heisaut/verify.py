@@ -564,10 +564,17 @@ def _section_welldef(rng: random.Random) -> None:
 
 @_sampled("project-section")
 def _project_section(rng: random.Random) -> None:
-    m = _rand_matrix(rng)
-    got = aut.project(aut.section(m))
-    if got != m:
-        raise _Mismatch(f"M={m}", m, got)
+    # project is a homomorphism: compose's matrix part against gl2's own
+    # product, and invert's against the identity
+    m, omega = _rand_matrix(rng), _rand_aut(rng)
+    expected = gl2.mat_multiply(m, omega.matrix)
+    got = aut.project(aut.compose(aut.section(m), omega))
+    if got != expected:
+        raise _Mismatch(f"project(section(M) o omega) M={m} omega={omega}",
+                        expected, got)
+    got = gl2.mat_multiply(aut.project(aut.invert(omega)), omega.matrix)
+    if got != gl2.IDENTITY:
+        raise _Mismatch(f"project(omega^-1) * M omega={omega}", gl2.IDENTITY, got)
 
 
 @_sampled("exactness")

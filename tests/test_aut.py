@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -486,6 +487,51 @@ class TestProductFormOffsets:
             assert invert(omega) == expected_invert(omega)
         for omega2, omega1 in (omegas, omegas[::-1]):
             assert compose(omega2, omega1) == expected_compose(omega2, omega1)
+
+
+# every det +-1 matrix with entries in [-10, 10] (2024 of them): zero
+# entries and every parity pattern, where the halvings in the column
+# product forms could go wrong; and the 40 with entries in [-1, 1]
+BOX = [gl2.Gl2Matrix(*e) for e in itertools.product(range(-10, 11), repeat=4)
+       if e[0] * e[3] - e[1] * e[2] in (1, -1)]
+UNIT_BOX = [m for m in BOX if max(map(abs, m.entries())) <= 1]
+SMALL = range(-2, 3)
+
+
+class TestOffsetsOnTheBox:
+    """apply, compose and invert equal the C(a,2) expansion on every box
+    matrix, with offsets and coordinates from -2 to 2."""
+
+    def test_box_size(self):
+        assert (len(BOX), len(UNIT_BOX)) == (2024, 40)
+
+    def test_apply(self):
+        # every (a, b) on every matrix; r, u and c enter linearly and
+        # cycle through their values
+        rest = itertools.cycle(itertools.product(SMALL, repeat=3))
+        for m in BOX:
+            for a, b in itertools.product(SMALL, SMALL):
+                r, u, c = next(rest)
+                omega = Automorphism(m, r, u)
+                assert apply(omega, HeisElement(a, b, c)) == \
+                    expected_apply(omega, a, b, c), (omega, a, b, c)
+
+    def test_compose(self):
+        # every box matrix on either side of every unit-box matrix
+        offsets = itertools.cycle(itertools.product(SMALL, repeat=4))
+        for m in BOX:
+            for k in UNIT_BOX:
+                for n2, n1 in ((m, k), (k, m)):
+                    r2, u2, r1, u1 = next(offsets)
+                    omega2, omega1 = Automorphism(n2, r2, u2), Automorphism(n1, r1, u1)
+                    assert compose(omega2, omega1) == \
+                        expected_compose(omega2, omega1), (omega2, omega1)
+
+    def test_invert(self):
+        for m in BOX:
+            for r, u in itertools.product(SMALL, SMALL):
+                omega = Automorphism(m, r, u)
+                assert invert(omega) == expected_invert(omega), omega
 
 
 def naive_affine_power(m, v, n):

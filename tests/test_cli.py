@@ -395,6 +395,37 @@ def test_integer_accepts_the_value_grammar():
     assert [cli.integer(t) for t in ("0", "-0", "007", "-12")] == [0, 0, 7, -12]
 
 
+# patches the library in a fresh interpreter before aut is imported, then
+# runs `verify relations`; reports the exit code on stdout
+_VERIFY_IMPORT_PROBE = """
+import sys
+from heisaut import gl2
+{patch}
+from heisaut import cli
+print(cli.main(["verify", "relations", "--samples", "1"]))
+"""
+
+
+@pytest.mark.parametrize("patch, code, err", [
+    # the sign-flipped residue determinant: cocycles' canonical section,
+    # built at import, fails its relator check
+    ("unit_det = gl2._unit_det\n"
+     "gl2._unit_det = lambda *m: -unit_det(*m)", 2,
+     "heis-aut: property violated while loading verify: RelatorViolation: "
+     "relator "),
+    ("sys.modules['heisaut.verify'] = None", 1,
+     "heis-aut: error: ModuleNotFoundError: "),
+], ids=["defect", "missing-module"])
+def test_verify_import_failure(patch, code, err):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c",
+                           _VERIFY_IMPORT_PROBE.format(patch=patch)],
+                          env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == f"{code}\n"
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith(err)
+
+
 def test_verify_not_imported_by_cli():
     # verify is the largest module; only the verify command loads it.
     # dataclasses would pull in inspect, ast, dis and tokenize at start-up

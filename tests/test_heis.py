@@ -1,5 +1,8 @@
+import itertools
+import random
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heisaut.heis import (
@@ -85,6 +88,48 @@ class TestPower:
     @given(elements, ints, ints)
     def test_exponent_addition(self, g, m, n):
         assert multiply(power(g, m), power(g, n)) == power(g, m + n)
+
+
+def closed_power(g: HeisElement, n: int) -> HeisElement:
+    # the closed form power() was first written with
+    return HeisElement(n * g.a, n * g.b,
+                       n * g.c + (n * (n - 1) // 2) * g.a * g.b)
+
+
+big = st.integers(min_value=-2**5000, max_value=2**5000)
+
+
+def big_int(rng: random.Random, bits: int = 5000) -> int:
+    # a signed int of exactly `bits` bits
+    return rng.choice((1, -1)) * (rng.getrandbits(bits) | 1 << (bits - 1))
+
+
+class TestPowerClosedForm:
+    """power() reuses (na, nb) for its c-coordinate; it must equal
+    n*c + C(n,2)*a*b at every size and sign."""
+
+    @settings(deadline=None)
+    @given(st.builds(HeisElement, big, big, big),
+           st.integers(min_value=-2**2000, max_value=2**2000))
+    def test_at_5000_bits(self, g, n):
+        assert power(g, n) == closed_power(g, n)
+
+    @pytest.mark.parametrize("n", range(-2, 3))
+    def test_small_exponents(self, n):
+        rng = random.Random(n)
+        cases = [HeisElement(*t) for t in itertools.product(range(-3, 4), repeat=3)]
+        cases += [HeisElement(big_int(rng), big_int(rng), big_int(rng))
+                  for _ in range(20)]
+        for g in cases:
+            assert power(g, n) == closed_power(g, n)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_2000_bit_exponents(self, sign):
+        rng = random.Random(sign)
+        for _ in range(20):
+            g = HeisElement(big_int(rng), big_int(rng), big_int(rng))
+            n = sign * abs(big_int(rng, 2000))
+            assert power(g, n) == closed_power(g, n)
 
 
 class TestCommutator:
