@@ -71,8 +71,7 @@ class _Parser(argparse.ArgumentParser):
         # help is shown
         for action in self._actions:
             if action.dest == "suites":
-                from . import verify
-                action.help = _SUITES_HELP + ", ".join(verify.available_suites())
+                action.help = _SUITES_HELP + ", ".join(_verify().available_suites())
         return super().format_help()
 
 
@@ -183,14 +182,20 @@ def _cmd_lattice(args) -> int:
 
 def _cmd_twist(args) -> int:
     from . import cocycles
-    sigma0 = (cocycles.parse_section(args.section) if args.section
+    sigma0 = (cocycles.parse_section(args.section) if args.section is not None
               else cocycles.canonical_section())
     twisted = cocycles.twist(sigma0, cocycles.parse_cocycle(args.phi))
     _emit(args, str(twisted), {"section": str(twisted)})
     return 0
 
 
-def _cmd_verify(args) -> int:
+class _LoadViolation(Exception):
+    """The library raised while verify loaded; the message is the one
+    stderr line, and the exit code is 2."""
+
+
+def _verify():
+    # the verify module, for the command and for its --help alike
     try:
         from . import verify
     except ImportError:
@@ -199,10 +204,14 @@ def _cmd_verify(args) -> int:
         # a defect that raises while the library loads (cocycles builds
         # the canonical section at import) violates a property, as a
         # failed suite does; a missing module stays a usage error
-        print(f"heis-aut: property violated while loading verify: "
-              f"{type(exc).__name__}: {str(exc).translate(_LINE_BREAKS)}",
-              file=sys.stderr)
-        return 2
+        raise _LoadViolation(
+            f"heis-aut: property violated while loading verify: "
+            f"{type(exc).__name__}: {str(exc).translate(_LINE_BREAKS)}") from exc
+    return verify
+
+
+def _cmd_verify(args) -> int:
+    verify = _verify()
     from ._backend import backend_name
 
     available = verify.available_suites()
@@ -405,6 +414,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BrokenPipeError:
         _drop_stdout()
         return 1
+    except _LoadViolation as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"heis-aut: error: {exc}", file=sys.stderr)
         return 1

@@ -18,11 +18,17 @@ at most 20 (guaranteeing determinant +-1), and word-long's words have
 A sampled suite has one failure path: a check that fails raises
 _Mismatch(inputs, expected, actual) with the two sides it compared, so
 the first failed check of a sample ends that sample and becomes its
-Failure.  Any other exception is a failure too, one that names the
-exception and the sample's RNG key.  A static suite returns its
-failing cases instead.  At most three failures are recorded per suite,
-and a sampled suite stops at the third.  run() checks every suite name,
-the sample count and the seed before it runs any suite.
+Failure.  An equality check goes through _check_equal, which takes the
+inputs label as a str.format template and its values and formats it
+only when the check fails: a passing check never turns its 10^9-sized
+elements or 20-letter words into text.  The few checks that are not an
+equality, or that report strings other than the two sides they
+compare, raise _Mismatch themselves.  Any other exception is a failure
+too, one that names the exception and the sample's RNG key.  A static
+suite returns its failing cases instead.  At most three failures are
+recorded per suite, and a sampled suite stops at the third.  run()
+checks every suite name, the sample count and the seed before it runs
+any suite.
 
 Where the library uses a closed form, the suites check it against the
 generic route it replaced: word folds for section() and extend(), the
@@ -79,6 +85,13 @@ class VerifyReport(heis._Value):
 class _Mismatch(Exception):
     """A failed check of a sampled suite; args are (inputs, expected,
     actual), the two sides as the check compared them."""
+
+
+def _check_equal(expected, actual, inputs: str, *args) -> None:
+    # the equality check of a sampled suite: the label is formatted from
+    # its template only when the check fails, never for a passing one
+    if actual != expected:
+        raise _Mismatch(inputs.format(*args), expected, actual)
 
 
 class _Suite(heis._Value):
@@ -246,8 +259,7 @@ def _group_axioms(rng: random.Random) -> None:
     g1, g2, g3 = (_rand_element(rng) for _ in range(3))
     left = heis.multiply(heis.multiply(g1, g2), g3)
     right = heis.multiply(g1, heis.multiply(g2, g3))
-    if left != right:
-        raise _Mismatch(f"associativity g1={g1} g2={g2} g3={g3}", left, right)
+    _check_equal(left, right, "associativity g1={} g2={} g3={}", g1, g2, g3)
     e = heis.IDENTITY
     for g in (g1, g2, g3):
         inv = heis.inverse(g)
@@ -257,8 +269,7 @@ def _group_axioms(rng: random.Random) -> None:
             ("inverse law g*g^-1", heis.multiply(g, inv), e),
             ("inverse law g^-1*g", heis.multiply(inv, g), e),
         ):
-            if product != expected:
-                raise _Mismatch(f"{law} g={g}", expected, product)
+            _check_equal(expected, product, "{} g={}", law, g)
 
 
 @_sampled("power-oracle")
@@ -269,9 +280,7 @@ def _power_oracle(rng: random.Random) -> None:
     acc = heis.IDENTITY
     for _ in range(abs(n)):
         acc = heis.multiply(acc, base)
-    got = heis.power(g, n)
-    if got != acc:
-        raise _Mismatch(f"g={g} n={n}", acc, got)
+    _check_equal(acc, heis.power(g, n), "g={} n={}", g, n)
 
 
 @_sampled("generator-decomposition")
@@ -281,8 +290,7 @@ def _generator_decomposition(rng: random.Random) -> None:
         heis.multiply(heis.power(heis.Z, g.c), heis.power(heis.Y, g.b)),
         heis.power(heis.X, g.a),
     )
-    if chain != g:
-        raise _Mismatch(f"z^c y^b x^a for g={g}", g, chain)
+    _check_equal(g, chain, "z^c y^b x^a for g={}", g)
 
 
 @_sampled("lambda-hom")
@@ -292,12 +300,10 @@ def _lambda_hom(rng: random.Random) -> None:
         g1 = heis.HeisElement(0, 0, g1.c)
     lam = heis.lambda_project
     product, summed = lam(heis.multiply(g1, g2)), lam(g1) + lam(g2)
-    if product != summed:
-        raise _Mismatch(f"homomorphism g1={g1} g2={g2}", summed, product)
+    _check_equal(summed, product, "homomorphism g1={} g2={}", g1, g2)
     in_kernel = lam(g1) == heis.AbPair(0, 0)
     central = heis.is_central(g1)
-    if in_kernel != central:
-        raise _Mismatch(f"kernel=center g={g1}", central, in_kernel)
+    _check_equal(central, in_kernel, "kernel=center g={}", g1)
 
 
 @_sampled("central-commute")
@@ -320,8 +326,7 @@ def _commutator_oracle(rng: random.Random) -> None:
         heis.multiply(heis.multiply(g1, g2), heis.inverse(g1)), heis.inverse(g2)
     )
     got = heis.commutator(g1, g2)
-    if got != expanded:
-        raise _Mismatch(f"g1={g1} g2={g2}", expanded, got)
+    _check_equal(expanded, got, "g1={} g2={}", g1, g2)
     if not heis.is_central(got):
         raise _Mismatch(f"centrality g1={g1} g2={g2}", "central", got)
 
@@ -340,13 +345,10 @@ def _word_roundtrip(rng: random.Random) -> None:
     for m in (drawn, corner):
         for strategy in ("left", "right"):
             w = gl2.decompose(m, strategy)
-            back = gl2.eval_word(w)
-            if back != m:
-                raise _Mismatch(f"strategy={strategy} M={m} word={w}", m, back)
+            _check_equal(m, gl2.eval_word(w), "strategy={} M={} word={}", strategy, m, w)
             # decompose builds its word unchecked, so it must be normalized
-            normalized = gl2.GeneratorWord(w.letters)
-            if normalized != w:
-                raise _Mismatch(f"normalized strategy={strategy} M={m}", normalized, w)
+            _check_equal(gl2.GeneratorWord(w.letters), w, "normalized strategy={} M={}",
+                         strategy, m)
 
 
 @_sampled("word-det")
@@ -368,15 +370,10 @@ def _word_normalize(rng: random.Random) -> None:
     for sym, exp in pairs:
         product = gl2.mat_multiply(product, gl2.GENERATORS[sym] ** exp)
     folded = gl2.eval_letters(pairs)
-    if folded != product:
-        raise _Mismatch(f"generator powers raw={pairs}", product, folded)
+    _check_equal(product, folded, "generator powers raw={!r}", pairs)
     w = gl2.GeneratorWord(pairs)
-    evaluated = gl2.eval_word(w)
-    if evaluated != folded:
-        raise _Mismatch(f"evaluation invariance raw={pairs}", folded, evaluated)
-    again = gl2.GeneratorWord(w.letters)
-    if again != w:
-        raise _Mismatch(f"idempotence w={w}", w, again)
+    _check_equal(folded, gl2.eval_word(w), "evaluation invariance raw={!r}", pairs)
+    _check_equal(w, gl2.GeneratorWord(w.letters), "idempotence w={}", w)
     for i, (sym, exp) in enumerate(w.letters):
         bad = (
             exp == 0
@@ -424,8 +421,7 @@ def _apply_hom(rng: random.Random) -> None:
     g1, g2 = _rand_element(rng), _rand_element(rng)
     lhs = aut.apply(omega, heis.multiply(g1, g2))
     rhs = heis.multiply(aut.apply(omega, g1), aut.apply(omega, g2))
-    if lhs != rhs:
-        raise _Mismatch(f"omega={omega} g1={g1} g2={g2}", rhs, lhs)
+    _check_equal(rhs, lhs, "omega={} g1={} g2={}", omega, g1, g2)
 
 
 @_sampled("apply-closed-form")
@@ -443,9 +439,7 @@ def _apply_closed_form(rng: random.Random) -> None:
         heis.multiply(heis.power(gz, g.c), heis.power(gy, g.b)),
         heis.power(gx, g.a),
     )
-    got = aut.apply(omega, g)
-    if got != expected:
-        raise _Mismatch(f"omega={omega} g={g}", expected, got)
+    _check_equal(expected, aut.apply(omega, g), "omega={} g={}", omega, g)
 
 
 @_sampled("compose-pointwise")
@@ -454,8 +448,7 @@ def _compose_pointwise(rng: random.Random) -> None:
     g = _rand_element(rng)
     lhs = aut.apply(aut.compose(omega2, omega1), g)
     rhs = aut.apply(omega2, aut.apply(omega1, g))
-    if lhs != rhs:
-        raise _Mismatch(f"omega2={omega2} omega1={omega1} g={g}", rhs, lhs)
+    _check_equal(rhs, lhs, "omega2={} omega1={} g={}", omega2, omega1, g)
 
 
 @_sampled("invert-roundtrip")
@@ -464,27 +457,21 @@ def _invert_roundtrip(rng: random.Random) -> None:
     inv = aut.invert(omega)
     for order, left, right in (("invert(omega) o omega", inv, omega),
                                ("omega o invert(omega)", omega, inv)):
-        product = aut.compose(left, right)
-        if product != aut.IDENTITY_AUT:
-            raise _Mismatch(f"{order} omega={omega}", aut.IDENTITY_AUT, product)
-    double = aut.invert(inv)
-    if double != omega:
-        raise _Mismatch(f"double inverse omega={omega}", omega, double)
+        _check_equal(aut.IDENTITY_AUT, aut.compose(left, right), "{} omega={}",
+                     order, omega)
+    _check_equal(omega, aut.invert(inv), "double inverse omega={}", omega)
 
 
 @_sampled("rd-hom")
 def _rd_hom(rng: random.Random) -> None:
     d1, d2 = _rand_int(rng, D_BOUND), _rand_int(rng, D_BOUND)
     composed, summed = aut.compose(aut.rd(d1), aut.rd(d2)), aut.rd(d1 + d2)
-    if composed != summed:
-        raise _Mismatch(f"d1={d1} d2={d2}", summed, composed)
+    _check_equal(summed, composed, "d1={} d2={}", d1, d2)
     g = _rand_element(rng)
     expected = heis.HeisElement(
         g.a + d1 * g.b, g.b, g.c + (g.b * (g.b - 1) // 2) * d1
     )
-    got = aut.apply(aut.rd(d1), g)
-    if got != expected:
-        raise _Mismatch(f"shear formula d={d1} g={g}", expected, got)
+    _check_equal(expected, aut.apply(aut.rd(d1), g), "shear formula d={} g={}", d1, g)
 
 
 @_sampled("inner-conjugation")
@@ -494,12 +481,10 @@ def _inner_conjugation(rng: random.Random) -> None:
     h = heis.HeisElement(v.p, v.q, 0)
     conjugated = heis.multiply(heis.multiply(h, g), heis.inverse(h))
     inner = aut.inner(v)
-    got = aut.apply(inner, g)
-    if got != conjugated:
-        raise _Mismatch(f"v={v} g={g}", conjugated, got)
-    projected = aut.project(inner)
-    if projected != gl2.IDENTITY:
-        raise _Mismatch(f"projection v={v}", gl2.IDENTITY, projected)
+    _check_equal(conjugated, aut.apply(inner, g), "v={} g={}", v, g)
+    _check_equal(gl2.IDENTITY, aut.project(inner), "projection v={}", v)
+
+
 @_static("relations")
 def _relations() -> list[tuple[str, str, str]]:
     failures = []
@@ -545,8 +530,7 @@ def _section_hom(rng: random.Random) -> None:
     m1, m2 = _rand_matrix(rng), _rand_matrix(rng)
     lhs = aut.section(gl2.mat_multiply(m1, m2))
     rhs = aut.compose(aut.section(m1), aut.section(m2))
-    if lhs != rhs:
-        raise _Mismatch(f"M1={m1} M2={m2}", rhs, lhs)
+    _check_equal(rhs, lhs, "M1={} M2={}", m1, m2)
 
 
 @_sampled("section-welldef")
@@ -557,9 +541,8 @@ def _section_welldef(rng: random.Random) -> None:
     sigma0 = cocycles.canonical_section()
     for strategy in ("left", "right"):
         w = gl2.decompose(m, strategy)
-        folded = sigma0.eval_letters(w.letters)
-        if folded != closed:
-            raise _Mismatch(f"strategy={strategy} M={m} word={w}", folded, closed)
+        _check_equal(sigma0.eval_letters(w.letters), closed, "strategy={} M={} word={}",
+                     strategy, m, w)
 
 
 @_sampled("project-section")
@@ -567,52 +550,43 @@ def _project_section(rng: random.Random) -> None:
     # project is a homomorphism: compose's matrix part against gl2's own
     # product, and invert's against the identity
     m, omega = _rand_matrix(rng), _rand_aut(rng)
-    expected = gl2.mat_multiply(m, omega.matrix)
-    got = aut.project(aut.compose(aut.section(m), omega))
-    if got != expected:
-        raise _Mismatch(f"project(section(M) o omega) M={m} omega={omega}",
-                        expected, got)
-    got = gl2.mat_multiply(aut.project(aut.invert(omega)), omega.matrix)
-    if got != gl2.IDENTITY:
-        raise _Mismatch(f"project(omega^-1) * M omega={omega}", gl2.IDENTITY, got)
+    _check_equal(gl2.mat_multiply(m, omega.matrix),
+                 aut.project(aut.compose(aut.section(m), omega)),
+                 "project(section(M) o omega) M={} omega={}", m, omega)
+    _check_equal(gl2.IDENTITY,
+                 gl2.mat_multiply(aut.project(aut.invert(omega)), omega.matrix),
+                 "project(omega^-1) * M omega={}", omega)
 
 
 @_sampled("exactness")
 def _exactness(rng: random.Random) -> None:
     r, u = _rand_int(rng), _rand_int(rng)
     omega = aut.Automorphism(gl2.IDENTITY, r, u)
-    expected = aut.inner(aut.InnerVector(u, -r))
-    if omega != expected:
-        raise _Mismatch(f"kernel element r={r} u={u}", expected, omega)
+    _check_equal(aut.inner(aut.InnerVector(u, -r)), omega, "kernel element r={} u={}",
+                 r, u)
     v1, v2 = _rand_vector(rng), _rand_vector(rng)
     same, same_image = v1 == v2, aut.inner(v1) == aut.inner(v2)
-    if same_image != same:
-        raise _Mismatch(f"injectivity v1={v1} v2={v2}", same, same_image)
+    _check_equal(same, same_image, "injectivity v1={} v2={}", v1, v2)
 
 
 @_sampled("normal-form")
 def _normal_form(rng: random.Random) -> None:
     v, m = _rand_vector(rng), _rand_matrix(rng)
     omega = aut.compose(aut.inner(v), aut.section(m))
-    got = aut.normal_form(omega)
-    if got != (v, m):
-        raise _Mismatch(f"v={v} M={m}", (v, m), got)
+    _check_equal((v, m), aut.normal_form(omega), "v={} M={}", v, m)
     omega2 = _rand_aut(rng, max_len=8)
     v2, m2 = aut.normal_form(omega2)
     # the closed-form solve against the compose route: the residual
     # omega * section(M)^-1 is inner(v), with offsets (-q, p)
     delta = aut.compose(omega2, aut.invert(aut.section(m2)))
     via_compose = aut.InnerVector(delta.u, -delta.r)
-    if v2 != via_compose:
-        raise _Mismatch(f"compose route omega={omega2}", via_compose, v2)
-    rebuilt = aut.compose(aut.inner(v2), aut.section(m2))
-    if rebuilt != omega2:
-        raise _Mismatch(f"rebuild omega={omega2}", omega2, rebuilt)
+    _check_equal(via_compose, v2, "compose route omega={}", omega2)
+    _check_equal(omega2, aut.compose(aut.inner(v2), aut.section(m2)), "rebuild omega={}",
+                 omega2)
     # power's closed form inner(S_n v) o section(M^n) against compose
     n = _rand_int(rng, 50)
     got, expected = aut.power(omega2, n), aut._compose_power(omega2, n)
-    if got != expected:
-        raise _Mismatch(f"power omega={omega2} n={n}", expected, got)
+    _check_equal(expected, got, "power omega={} n={}", omega2, n)
 
 
 # the cores C of power-types, by index: +rd(d) and -rd(d) (None, built
@@ -638,12 +612,8 @@ def _power_types(rng: random.Random) -> None:
     omega = aut.Automorphism(m, _rand_int(rng), _rand_int(rng))
     n = _rand_int(rng, 256)
     expected = aut._compose_power(omega, n)
-    got = aut.power(omega, n)
-    if got != expected:
-        raise _Mismatch(f"power omega={omega} n={n}", expected, got)
-    got_m = m ** n
-    if got_m != expected.matrix:
-        raise _Mismatch(f"matrix power M={m} n={n}", expected.matrix, got_m)
+    _check_equal(expected, aut.power(omega, n), "power omega={} n={}", omega, n)
+    _check_equal(expected.matrix, m ** n, "matrix power M={} n={}", m, n)
 
 
 @_sampled("naturality")
@@ -652,16 +622,14 @@ def _naturality(rng: random.Random) -> None:
     sigma_m = aut.section(m)
     lhs = aut.compose(sigma_m, aut.compose(aut.inner(v), aut.invert(sigma_m)))
     rhs = aut.inner(aut.act(m, v))
-    if lhs != rhs:
-        raise _Mismatch(f"M={m} v={v}", rhs, lhs)
+    _check_equal(rhs, lhs, "M={} v={}", m, v)
 
 
 @_sampled("center-det")
 def _center_det(rng: random.Random) -> None:
     omega = _rand_aut(rng)
     image = aut.center_image(omega)
-    if image != omega.matrix.det:
-        raise _Mismatch(f"omega={omega}", omega.matrix.det, image)
+    _check_equal(omega.matrix.det, image, "omega={}", omega)
     fixes_z = aut.apply(omega, heis.Z) == heis.Z
     plus = aut.is_aut_plus(omega)
     if plus != fixes_z:
@@ -727,18 +695,13 @@ def _linear_violation(
     return None
 
 
-
-
 @_sampled("coboundary-roundtrip")
 def _coboundary_roundtrip(rng: random.Random) -> None:
     a1, a2 = _rand_vector(rng), _rand_vector(rng)
-    got = cocycles.solve_coboundary(cocycles.coboundary(a1))
-    if got != a1:
-        raise _Mismatch(f"a={a1}", a1, got)
+    _check_equal(a1, cocycles.solve_coboundary(cocycles.coboundary(a1)), "a={}", a1)
     additive = cocycles.coboundary(a1) + cocycles.coboundary(a2)
-    joint = cocycles.coboundary(a1 + a2)
-    if additive != joint:
-        raise _Mismatch(f"additivity a1={a1} a2={a2}", joint, additive)
+    _check_equal(cocycles.coboundary(a1 + a2), additive, "additivity a1={} a2={}",
+                 a1, a2)
 
 
 def _fold(phi: cocycles.Cocycle, w: gl2.GeneratorWord) -> aut.InnerVector:
@@ -756,18 +719,14 @@ def _cocycle_extend(rng: random.Random) -> None:
     m1 = gl2.eval_word(w1)
     expected = _fold(phi, w1)
     got = cocycles.extend(phi, w1)
-    if got != expected:
-        raise _Mismatch(f"fold over w for a={a} w={w1}", expected, got)
+    _check_equal(expected, got, "fold over w for a={} w={}", a, w1)
     # cocycle identity over concatenation
     lhs = cocycles.extend(phi, w1 * w2)
     rhs = cocycles.extend(phi, w1) + aut.act(m1, cocycles.extend(phi, w2))
-    if lhs != rhs:
-        raise _Mismatch(f"concatenation a={a} w1={w1} w2={w2}", rhs, lhs)
+    _check_equal(rhs, lhs, "concatenation a={} w1={} w2={}", a, w1, w2)
     # word independence: the fold over another word for the same matrix
     alt = gl2.decompose(m1, "right")
-    got_alt = _fold(phi, alt)
-    if got_alt != got:
-        raise _Mismatch(f"word independence a={a} M={m1} word={alt}", got, got_alt)
+    _check_equal(got, _fold(phi, alt), "word independence a={} M={} word={}", a, m1, alt)
 
 
 def _difference_by_compose(
@@ -786,34 +745,27 @@ def _section_twist(rng: random.Random) -> None:
     phi = cocycles.coboundary(a)
     sigma0 = cocycles.canonical_section()
     twisted = cocycles.twist(sigma0, phi)  # constructor re-checks relators
-    diff = cocycles.section_difference(twisted, sigma0)
-    if diff != phi:
-        raise _Mismatch(f"twist/diff roundtrip a={a}", phi, diff)
+    _check_equal(phi, cocycles.section_difference(twisted, sigma0),
+                 "twist/diff roundtrip a={}", a)
     # the closed form against the generator-wise compose route
     for order, alpha2, alpha1 in (("twisted, sigma0", twisted, sigma0),
                                   ("sigma0, twisted", sigma0, twisted)):
-        expected = _difference_by_compose(alpha2, alpha1)
-        got = cocycles.section_difference(alpha2, alpha1)
-        if got != expected:
-            raise _Mismatch(f"diff({order}) by compose a={a}", expected, got)
-    same = cocycles.section_difference(sigma0, sigma0)
-    if same != cocycles.ZERO_COCYCLE:
-        raise _Mismatch("diff(sigma, sigma)", cocycles.ZERO_COCYCLE, same)
+        _check_equal(_difference_by_compose(alpha2, alpha1),
+                     cocycles.section_difference(alpha2, alpha1),
+                     "diff({}) by compose a={}", order, a)
+    _check_equal(cocycles.ZERO_COCYCLE, cocycles.section_difference(sigma0, sigma0),
+                 "diff(sigma, sigma)")
     m = _rand_matrix(rng, max_len=8)
     at_m = twisted.at(m)
-    projected = aut.project(at_m)
-    if projected != m:
-        raise _Mismatch(f"twisted section over M={m}", m, projected)
+    _check_equal(m, aut.project(at_m), "twisted section over M={}", m)
     # the closed form of at() against the generic fold over a word, and
     # the relators at the automorphism level through the same fold
     w = gl2.decompose(m, "right")
-    folded = twisted.eval_letters(w.letters)
-    if at_m != folded:
-        raise _Mismatch(f"twisted at a={a} M={m} word={w}", folded, at_m)
+    _check_equal(twisted.eval_letters(w.letters), at_m, "twisted at a={} M={} word={}",
+                 a, m, w)
     for name, pairs in gl2.RELATORS:
-        product = twisted.eval_letters(pairs)
-        if product != aut.IDENTITY_AUT:
-            raise _Mismatch(f"twisted relator {name} a={a}", aut.IDENTITY_AUT, product)
+        _check_equal(aut.IDENTITY_AUT, twisted.eval_letters(pairs),
+                     "twisted relator {} a={}", name, a)
 
 
 # ---------------------------------------------------------------------------
@@ -833,6 +785,4 @@ def _parse_roundtrip(rng: random.Random) -> None:
         ("cocycle", phi, cocycles.format_cocycle, cocycles.parse_cocycle),
         ("section", alpha, cocycles.format_section, cocycles.parse_section),
     ):
-        back = parse(format_(value))
-        if back != value:
-            raise _Mismatch(f"{kind} {value}", value, back)
+        _check_equal(value, parse(format_(value)), "{} {}", kind, value)

@@ -275,6 +275,16 @@ class TestCocycle:
         code, out, _ = run(capsys, "cocycle", "diff", twisted.strip(), base)
         assert (code, out) == (0, phi + "\n")
 
+    @pytest.mark.parametrize("text", ["", "  "])
+    def test_twist_parses_an_empty_section(self, capsys, text):
+        # an empty --section is a section to parse, as --apply "" is an
+        # element to parse, not the canonical section's default
+        phi = "{rho=(-2,0), tau=(0,-3), kappa=(-6,0)}"
+        code, out, err = run(capsys, "cocycle", "twist", phi, "--section", text)
+        assert (code, out) == (1, "")
+        assert err.startswith("heis-aut: error: not a section ")
+        assert err.endswith(f": {text!r}\n")
+
 
 class TestVerify:
     def test_static_suite(self, capsys):
@@ -396,17 +406,17 @@ def test_integer_accepts_the_value_grammar():
 
 
 # patches the library in a fresh interpreter before aut is imported, then
-# runs `verify relations`; reports the exit code on stdout
+# runs the verify command line; reports the exit code on stdout
 _VERIFY_IMPORT_PROBE = """
 import sys
 from heisaut import gl2
 {patch}
 from heisaut import cli
-print(cli.main(["verify", "relations", "--samples", "1"]))
+print(cli.main({argv!r}))
 """
 
 
-@pytest.mark.parametrize("patch, code, err", [
+_IMPORT_FAILURES = [
     # the sign-flipped residue determinant: cocycles' canonical section,
     # built at import, fails its relator check
     ("unit_det = gl2._unit_det\n"
@@ -415,11 +425,19 @@ print(cli.main(["verify", "relations", "--samples", "1"]))
      "relator "),
     ("sys.modules['heisaut.verify'] = None", 1,
      "heis-aut: error: ModuleNotFoundError: "),
-], ids=["defect", "missing-module"])
-def test_verify_import_failure(patch, code, err):
+]
+
+
+# --help lists the suites, so it loads verify as the command does
+@pytest.mark.parametrize("patch, code, err, argv", [
+    (*case, argv)
+    for argv in (["verify", "relations", "--samples", "1"], ["verify", "--help"])
+    for case in _IMPORT_FAILURES
+], ids=["defect", "missing-module", "help-defect", "help-missing-module"])
+def test_verify_import_failure(patch, code, err, argv):
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c",
-                           _VERIFY_IMPORT_PROBE.format(patch=patch)],
+                           _VERIFY_IMPORT_PROBE.format(patch=patch, argv=argv)],
                           env=env, capture_output=True, text=True, check=True)
     assert proc.stdout == f"{code}\n"
     assert len(proc.stderr.splitlines()) == 1

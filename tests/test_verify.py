@@ -1,12 +1,12 @@
 """The verify runner's argument checks, its report of a sample that
-raises, and its samplers' random stream."""
+raises or fails a check, and its samplers' random stream."""
 
 import hashlib
 import random
 
 import pytest
 
-from heisaut import aut, cli, cocycles, heis, verify
+from heisaut import aut, cli, cocycles, gl2, heis, verify
 
 
 @pytest.fixture
@@ -159,6 +159,67 @@ def test_inverse_law_reports_the_failed_order(monkeypatch, order):
     (failure,) = verify.run(["group-axioms"], samples=1, seed=0).results[0].failures
     assert failure.inputs.startswith(f"inverse law {order} ")
     assert (failure.expected, failure.actual) == ("(0,0,0)", "(0,0,1)")
+
+
+class _Unprintable:
+    def __format__(self, spec=""):
+        raise AssertionError("formatted")
+
+    __str__ = __repr__ = __format__
+
+
+def test_passing_check_never_formats_its_label():
+    verify._check_equal(1, 1, "x={} y={!r}", _Unprintable(), _Unprintable())
+
+
+def test_failing_check_formats_its_label():
+    with pytest.raises(verify._Mismatch) as info:
+        verify._check_equal((1, "a"), 2, "x={} y={!r}", 3, "b")
+    assert info.value.args == ("x=3 y='b'", (1, "a"), 2)
+
+
+def _shifted_r(compose):
+    # compose with r off by one
+    def wrong(omega2, omega1):
+        omega = compose(omega2, omega1)
+        return aut.Automorphism(omega.matrix, omega.r + 1, omega.u)
+    return wrong
+
+
+# the whole Failure of one sample under a wrong library function: its
+# label, and both sides as the report prints them
+@pytest.mark.parametrize("suite, seed, patch, failure", [
+    # two-argument labels
+    ("rd-hom", 0, (aut, "compose", _shifted_r),
+     verify.Failure(0, "d1=188968 d2=-877643",
+                    "{M=[[1,-688675],[0,1]], r=0, u=0}",
+                    "{M=[[1,-688675],[0,1]], r=1, u=0}")),
+    ("invert-roundtrip", 0, (aut, "compose", _shifted_r),
+     verify.Failure(0, "invert(omega) o omega omega={M=[[1309,2802],[-249,-533]], "
+                       "r=266950608, u=294967156}",
+                    "{M=[[1,0],[0,1]], r=0, u=0}", "{M=[[1,0],[0,1]], r=1, u=0}")),
+    # a tuple (v, M) on both sides, shown by str(tuple)
+    ("normal-form", 233,
+     (aut, "normal_form", lambda nf: lambda omega: (
+         lambda v, m: (aut.InnerVector(v.p + 1, v.q), m))(*nf(omega))),
+     verify.Failure(
+         0, "v=(869016180,-9704013) M=[[1,0],[0,1]]",
+         "(InnerVector(p=869016180, q=-9704013), "
+         "Gl2Matrix(m11=1, m12=0, m21=0, m22=1))",
+         "(InnerVector(p=869016181, q=-9704013), "
+         "Gl2Matrix(m11=1, m12=0, m21=0, m22=1))")),
+    # the raw pairs by their repr: eval_letters transposed
+    ("word-normalize", 34,
+     (gl2, "eval_letters", lambda ev: lambda pairs: (
+         lambda m: gl2.Gl2Matrix(m.m11, m.m21, m.m12, m.m22))(ev(pairs))),
+     verify.Failure(0, "generator powers raw=((<Letter.RHO: 'A'>, -4),)",
+                    "[[1,-4],[0,1]]", "[[1,0],[-4,1]]")),
+], ids=["rd-hom", "invert-roundtrip", "normal-form", "word-normalize"])
+def test_failure_fields_are_pinned(monkeypatch, suite, seed, patch, failure):
+    module, name, wrong = patch
+    monkeypatch.setattr(module, name, wrong(getattr(module, name)))
+    (result,) = verify.run([suite], samples=1, seed=seed).results
+    assert result.failures == (failure,)
 
 
 # sha256 of the samplers' output below, as the code gave it when the
