@@ -104,18 +104,20 @@ class InnerVector(_Value):
             _check_int(p, "p")
             _check_int(q, "q")
 
+    # sums, differences and negatives of int pairs are int pairs
+
     def __add__(self, other: "InnerVector") -> "InnerVector":
         if not isinstance(other, InnerVector):
             return NotImplemented
-        return InnerVector(self.p + other.p, self.q + other.q)
+        return InnerVector._of(self.p + other.p, self.q + other.q)
 
     def __sub__(self, other: "InnerVector") -> "InnerVector":
         if not isinstance(other, InnerVector):
             return NotImplemented
-        return InnerVector(self.p - other.p, self.q - other.q)
+        return InnerVector._of(self.p - other.p, self.q - other.q)
 
     def __neg__(self) -> "InnerVector":
-        return InnerVector(-self.p, -self.q)
+        return InnerVector._of(-self.p, -self.q)
 
     def __str__(self) -> str:
         return f"({self.p},{self.q})"
@@ -128,9 +130,10 @@ ZERO_VECTOR = InnerVector(0, 0)
 
 def act(m: Gl2Matrix, v: InnerVector) -> InnerVector:
     """The natural GL(2,Z) action on Z + Z: matrix times column vector."""
+    # an int matrix times an int vector is an int vector
     _expect(m, Gl2Matrix, "m")
     _expect(v, InnerVector, "v")
-    return InnerVector(m.m11 * v.p + m.m12 * v.q, m.m21 * v.p + m.m22 * v.q)
+    return InnerVector._of(m.m11 * v.p + m.m12 * v.q, m.m21 * v.p + m.m22 * v.q)
 
 
 def apply(omega: Automorphism, g: HeisElement) -> HeisElement:

@@ -207,17 +207,20 @@ class Cocycle(_Value):
     def value(self, sym: Letter) -> InnerVector:
         return _by_letter(sym, self.v_rho, self.v_tau, self.v_kappa)
 
+    # the four conditions are linear, so sums and negatives of cocycles
+    # meet them
+
     def __add__(self, other: "Cocycle") -> "Cocycle":
         if not isinstance(other, Cocycle):
             return NotImplemented
-        return Cocycle(
+        return Cocycle._of(
             self.v_rho + other.v_rho,
             self.v_tau + other.v_tau,
             self.v_kappa + other.v_kappa,
         )
 
     def __neg__(self) -> "Cocycle":
-        return Cocycle(-self.v_rho, -self.v_tau, -self.v_kappa)
+        return Cocycle._of(-self.v_rho, -self.v_tau, -self.v_kappa)
 
     def __sub__(self, other: "Cocycle") -> "Cocycle":
         if not isinstance(other, Cocycle):
@@ -277,8 +280,9 @@ def coboundary(a: InnerVector) -> Cocycle:
     >>> coboundary(InnerVector(1, 0)).v_tau
     InnerVector(p=0, q=-1)
     """
+    # (L - I)a meets the four conditions, as Cocycle's docstring proves
     _expect(a, InnerVector, "a")
-    return Cocycle(
+    return Cocycle._of(
         act(gl2.A, a) - a,
         act(gl2.B, a) - a,
         act(gl2.D, a) - a,
@@ -297,8 +301,9 @@ def solve_coboundary(phi: Cocycle) -> InnerVector:
     >>> solve_coboundary(coboundary(InnerVector(3, -2)))
     InnerVector(p=3, q=-2)
     """
+    # a valid Cocycle holds int pairs
     _expect(phi, Cocycle, "phi")
-    return InnerVector(-phi.v_tau.q, phi.v_rho.p)
+    return InnerVector._of(-phi.v_tau.q, phi.v_rho.p)
 
 
 def _flatten(phi_values: tuple[InnerVector, InnerVector, InnerVector]) -> Vector:

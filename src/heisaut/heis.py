@@ -21,11 +21,13 @@ Every value class of the package (HeisElement, AbPair, and those of gl2,
 aut, cocycles and verify) derives from the private base _Value.  A class
 declares its fields in __match_args__, its own __slots__, and an optional
 __post_init__ where it validates.  The base writes the constructor: an
-__init__ over the fields, in order, that sets each one and then calls
-self.__post_init__() if the class has that hook.  The hook is looked up
-on the class at each call, so perfbench's tracer can wrap it there to
-count validations.  The base also adds what a frozen dataclass would:
-== and hash over the fields, for the same class only, a repr
+__init__ over the fields, in order, that sets each one through its
+slot's setter, bound into the generated code when the class is made,
+and then calls self.__post_init__() if the class has that hook.  The
+hook is looked up on the class at each call, so perfbench's tracer can
+wrap it there to count validations.  The base also adds what a frozen
+dataclass would: == over the fields, generated per class as one tuple
+comparison and for the same class only, hash over the fields, a repr
 Name(field=value, ...), pickling and copying through the constructor
 (so an unpickled value is checked again), and AttributeError on
 assigning or deleting a field.
@@ -34,10 +36,13 @@ A class with a __post_init__ also gets a private classmethod _of over
 the same fields, which sets them and skips the hook.  Only library code
 that builds a value from values already checked calls it, where a line
 of its docstring or a comment shows that the invariant holds by
-construction: a product, inverse or power of valid values is valid.
-Such a function first checks the type of each value argument with
-_expect, so a foreign argument raises TypeError naming the parameter
-instead of coming back inside a value no constructor would accept.
+construction: a product, inverse or power of valid values is valid, and
+so are the sums, differences and negatives of pairs and cocycles, a
+matrix times a vector, and the coboundary maps between vectors and
+cocycles.  Such a function first checks the type of each value argument
+with _expect, so a foreign argument raises TypeError naming the
+parameter instead of coming back inside a value no constructor would
+accept.
 """
 
 from __future__ import annotations
@@ -68,14 +73,23 @@ class _Value:
     A subclass that declares ``__match_args__`` and writes no ``__init__``
     gets one with exactly those parameters, generated from source as
     dataclasses does: a generic ``*args`` constructor costs about twice
-    as much per value, and value construction dominates verify.  A
-    subclass that declares no fields keeps its parent's ``__init__``.
+    as much per value, and value construction dominates verify.  It sets
+    each field through the slot's ``__set__``, bound when the class is
+    made, not through ``object.__setattr__``, which looks the name up on
+    every call.  A subclass that declares no fields keeps its parent's
+    ``__init__``.
+
+    Every class that declares ``__match_args__`` gets ``__eq__`` from
+    the same generated source, one comparison of two field tuples, even
+    when it writes its own ``__init__``.  ``__hash__`` stays here.
 
     A class with a ``__post_init__`` also gets ``_of``, a classmethod
     with the same parameters that builds the value without running the
     hook.  It is for library functions whose result is valid by
-    construction and that have checked their arguments' types; public
-    constructors, ``parse_*`` and unpickling always validate.
+    construction and that have checked their arguments' types: the group
+    law, matrix products and powers, automorphism composition, the
+    arithmetic of vectors and cocycles, ``act`` and the coboundary maps.
+    Public constructors, ``parse_*`` and unpickling always validate.
     """
 
     __slots__ = ()
@@ -84,15 +98,10 @@ class _Value:
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         fields = cls.__match_args__
-        # the fields in one C call: == is hot in verify
+        # the fields in one C call, for hash
         cls._fields = attrgetter(*fields)
-        if "__match_args__" in vars(cls) and "__init__" not in vars(cls):
-            _make_init(cls, fields)
-
-    def __eq__(self, other: object):
-        if other.__class__ is self.__class__:
-            return self._fields(self) == self._fields(other)
-        return NotImplemented
+        if "__match_args__" in vars(cls):
+            _make_methods(cls, fields, init="__init__" not in vars(cls))
 
     def __hash__(self) -> int:
         return hash(self._fields(self))
@@ -113,27 +122,37 @@ class _Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _make_init(cls: type, fields: tuple[str, ...]) -> None:
+def _make_methods(cls: type, fields: tuple[str, ...], init: bool) -> None:
     params = ", ".join(fields)
-    sets = "".join(f"    _set(self, {name!r}, {name})\n" for name in fields)
-    source = f"def __init__(self, {params}):\n{sets}"
-    hooked = hasattr(cls, "__post_init__")
+    mine = ", ".join(f"self.{name}" for name in fields)
+    theirs = ", ".join(f"other.{name}" for name in fields)
+    # the trailing commas make a one-field tuple
+    source = ("def __eq__(self, other):\n"
+              "    if other.__class__ is self.__class__:\n"
+              f"        return ({mine},) == ({theirs},)\n"
+              "    return NotImplemented\n")
+    # each field is set by its slot's own setter, bound once here: it
+    # skips the name lookup of object.__setattr__ on every call
+    sets = "".join(f"    _set_{name}(self, {name})\n" for name in fields)
+    hooked = init and hasattr(cls, "__post_init__")
+    if init:
+        source += f"def __init__(self, {params}):\n{sets}"
     if hooked:
-        # both functions in one exec, which has a fixed cost per call
         source += ("    self.__post_init__()\n"
                    f"def _of(cls, {params}):\n    self = _new(cls)\n{sets}"
                    "    return self\n")
     # __name__ makes the functions' __module__ the class's, and the
     # filename names the class in tracebacks and profiles
-    namespace = {"_set": object.__setattr__, "_new": object.__new__,
-                 "__name__": cls.__module__}
+    namespace = {f"_set_{name}": getattr(cls, name).__set__ for name in fields}
+    namespace.update(_new=object.__new__, __name__=cls.__module__)
+    # all functions in one exec, which has a fixed cost per call
     exec(compile(source, f"<{cls.__module__}.{cls.__qualname__}>", "exec"), namespace)
-    # TypeError messages name a function by it: "HeisElement.__init__()"
-    namespace["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
-    cls.__init__ = namespace["__init__"]
-    if hooked:
-        namespace["_of"].__qualname__ = f"{cls.__qualname__}._of"
-        cls._of = classmethod(namespace["_of"])
+    for name in ("__eq__", "__init__", "_of"):
+        if name in namespace:
+            function = namespace[name]
+            # TypeError messages name a function by it: "HeisElement.__init__()"
+            function.__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, classmethod(function) if name == "_of" else function)
 
 
 class HeisElement(_Value):
@@ -176,13 +195,15 @@ class AbPair(_Value):
             _check_int(h, "h")
             _check_int(p, "p")
 
+    # sums and negatives of int pairs are int pairs
+
     def __add__(self, other: "AbPair") -> "AbPair":
         if not isinstance(other, AbPair):
             return NotImplemented
-        return AbPair(self.h + other.h, self.p + other.p)
+        return AbPair._of(self.h + other.h, self.p + other.p)
 
     def __neg__(self) -> "AbPair":
-        return AbPair(-self.h, -self.p)
+        return AbPair._of(-self.h, -self.p)
 
     def __str__(self) -> str:
         return f"({self.h},{self.p})"

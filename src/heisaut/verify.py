@@ -362,6 +362,19 @@ def _word_det(rng: random.Random) -> None:
         raise _Mismatch(f"word={word!r}", expected, m.det)
 
 
+class _RawLetters:
+    """Letter pairs as a label shows them, quoted: 'A^-4 B^3', and '' for
+    none.  The text is made only when a failing check formats it."""
+
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs: Iterable[gl2.LetterPair]) -> None:
+        self.pairs = pairs
+
+    def __str__(self) -> str:
+        return repr(" ".join(f"{sym.value}^{exp}" for sym, exp in self.pairs))
+
+
 @_sampled("word-normalize")
 def _word_normalize(rng: random.Random) -> None:
     pairs = tuple(_rand_pairs(rng))
@@ -370,9 +383,10 @@ def _word_normalize(rng: random.Random) -> None:
     for sym, exp in pairs:
         product = gl2.mat_multiply(product, gl2.GENERATORS[sym] ** exp)
     folded = gl2.eval_letters(pairs)
-    _check_equal(product, folded, "generator powers raw={!r}", pairs)
+    raw = _RawLetters(pairs)
+    _check_equal(product, folded, "generator powers raw={}", raw)
     w = gl2.GeneratorWord(pairs)
-    _check_equal(folded, gl2.eval_word(w), "evaluation invariance raw={!r}", pairs)
+    _check_equal(folded, gl2.eval_word(w), "evaluation invariance raw={}", raw)
     _check_equal(w, gl2.GeneratorWord(w.letters), "idempotence w={}", w)
     for i, (sym, exp) in enumerate(w.letters):
         bad = (
@@ -398,9 +412,7 @@ def _word_long(rng: random.Random) -> None:
     del pairs[n:]
     folded = gl2.Gl2Matrix(*gl2._fold_columns(pairs))
     got = gl2.eval_letters(pairs)
-    if got != folded:
-        raw = " ".join(f"{sym.value}^{exp}" for sym, exp in pairs)
-        raise _Mismatch(f"{n} letters raw={raw!r}", folded, got)
+    _check_equal(folded, got, "{} letters raw={}", n, _RawLetters(pairs))
 
 
 @_static("matrix-relations")
@@ -573,7 +585,9 @@ def _exactness(rng: random.Random) -> None:
 def _normal_form(rng: random.Random) -> None:
     v, m = _rand_vector(rng), _rand_matrix(rng)
     omega = aut.compose(aut.inner(v), aut.section(m))
-    _check_equal((v, m), aut.normal_form(omega), "v={} M={}", v, m)
+    got_v, got_m = aut.normal_form(omega)
+    _check_equal(v, got_v, "vector v={} M={}", v, m)
+    _check_equal(m, got_m, "matrix v={} M={}", v, m)
     omega2 = _rand_aut(rng, max_len=8)
     v2, m2 = aut.normal_form(omega2)
     # the closed-form solve against the compose route: the residual

@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heisaut import aut, gl2, heis
+from heisaut import aut, cocycles, gl2, heis
 from heisaut.aut import Automorphism, InnerVector
+from heisaut.cocycles import Cocycle
 from heisaut.gl2 import Gl2Matrix, Letter
-from heisaut.heis import HeisElement
+from heisaut.heis import AbPair, HeisElement
 
 # one coordinate: zero, small, or up to 2^5000 in size
 coords = st.one_of(st.just(0), st.integers(min_value=-3, max_value=3),
@@ -30,7 +31,12 @@ matrices = st.one_of(
 )
 elements = st.builds(HeisElement, coords, coords, coords)
 vectors = st.builds(InnerVector, coords, coords)
+pairs = st.builds(AbPair, coords, coords)
 automorphisms = st.builds(Automorphism, matrices, coords, coords)
+# coboundary(a) for a = (a1, a2), written out and built by the constructor
+cocycle_values = st.builds(
+    lambda a1, a2: Cocycle(InnerVector(a2, 0), InnerVector(0, -a1),
+                           InnerVector(-2 * a1, 0)), coords, coords)
 
 CASES = [
     ("heis.multiply", heis.multiply, (elements, elements)),
@@ -50,14 +56,26 @@ CASES = [
     ("aut.inner", aut.inner, (vectors,)),
     ("aut.section", aut.section, (matrices,)),
     ("aut.power", aut.power, (automorphisms, exponents)),
+    ("aut.act", aut.act, (matrices, vectors)),
+    ("InnerVector.__add__", InnerVector.__add__, (vectors, vectors)),
+    ("InnerVector.__sub__", InnerVector.__sub__, (vectors, vectors)),
+    ("InnerVector.__neg__", InnerVector.__neg__, (vectors,)),
+    ("AbPair.__add__", AbPair.__add__, (pairs, pairs)),
+    ("AbPair.__neg__", AbPair.__neg__, (pairs,)),
+    ("cocycles.coboundary", cocycles.coboundary, (vectors,)),
+    ("cocycles.solve_coboundary", cocycles.solve_coboundary, (cocycle_values,)),
+    ("Cocycle.__add__", Cocycle.__add__, (cocycle_values, cocycle_values)),
+    ("Cocycle.__neg__", Cocycle.__neg__, (cocycle_values,)),
 ]
 
 
 def assert_rebuilds(value):
+    # and each field that is a value itself, such as a matrix or a vector
     fields = [getattr(value, name) for name in value.__match_args__]
     assert type(value)(*fields) == value
-    if isinstance(value, Automorphism):
-        assert_rebuilds(value.matrix)
+    for field in fields:
+        if isinstance(field, heis._Value):
+            assert_rebuilds(field)
 
 
 @pytest.mark.parametrize("fn, operands", [

@@ -369,6 +369,18 @@ def test_of_skips_the_hook(cls, kwargs, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("cls, kwargs", UNCHECKED,
+                         ids=[cls.__name__ for cls, _ in UNCHECKED])
+def test_of_builds_the_subclass_it_is_called_on(cls, kwargs):
+    class V(cls):
+        __slots__ = ()
+
+    value = V._of(**kwargs)
+    assert type(value) is V
+    assert fields(value) == fields(cls(**kwargs))
+    assert value == V(**kwargs)
+
+
 @contract
 def test_keyword_construction_and_repr(cls, kwargs, text):
     value = cls(**kwargs)
@@ -418,6 +430,65 @@ def test_equality_is_per_class():
     assert InnerVector(1, 2) != (1, 2)
     assert (1, 2) != InnerVector(1, 2)
     assert InnerVector(1, 2).__eq__(AbPair(1, 2)) is NotImplemented
+
+
+def fields(value):
+    return tuple(getattr(value, name) for name in value.__match_args__)
+
+
+def with_fields(cls, values):
+    # a value of cls holding exactly these fields, built without __init__
+    # or its hook, so any field may hold anything
+    value = object.__new__(cls)
+    for name, field in zip(cls.__match_args__, values):
+        getattr(cls, name).__set__(value, field)
+    return value
+
+
+@contract
+def test_equality_compares_the_field_tuples(cls, kwargs, text):
+    value = cls(**kwargs)
+    for i, field in enumerate(fields(value)):
+        # a foreign object, and an equal field of another type where there is one
+        for other_field in (object(), *([float(field)] if type(field) is int else [])):
+            changed = list(fields(value))
+            changed[i] = other_field
+            other = with_fields(cls, changed)
+            same = fields(value) == fields(other)
+            assert (value == other) is same and (other == value) is same
+            assert (value != other) is not same
+            if same:
+                assert hash(value) == hash(other)
+
+
+@contract
+def test_equal_values_need_not_share_their_fields(cls, kwargs, text):
+    # deepcopy rebuilds every nested value, so the fields are equal, not
+    # identical, wherever a field is a value
+    value, twin = cls(**kwargs), cls(**copy.deepcopy(kwargs))
+    assert value == twin and twin == value and not value != twin
+    assert hash(value) == hash(twin)
+    for name, field in kwargs.items():
+        if isinstance(field, heis._Value):
+            assert getattr(value, name) is not getattr(twin, name)
+
+
+def test_equality_keeps_the_identity_shortcut_of_tuples():
+    nan = float("nan")
+    result = verify.SuiteResult("relations", 1, 0, nan, ())
+    assert result == verify.SuiteResult("relations", 1, 0, nan, ())
+    assert result != verify.SuiteResult("relations", 1, 0, float("nan"), ())
+
+
+@contract
+def test_a_subclass_value_is_unequal_both_ways(cls, kwargs, text):
+    class V(cls):
+        __slots__ = ()
+
+    value, sub = cls(**kwargs), V(**kwargs)
+    assert type(sub) is V and fields(sub) == fields(value)
+    assert value != sub and sub != value
+    assert not value == sub and not sub == value
 
 
 # (operator, a value, an operand of a foreign type)
@@ -605,13 +676,13 @@ def test_foreign_argument_names_its_parameter(fn, required, name):
         fn(*args)
 
 
-GENERATED = [cls for cls, _, _ in VALUES if cls is not GeneratorWord]
-
-
-@pytest.mark.parametrize("cls", GENERATED, ids=[cls.__name__ for cls in GENERATED])
-def test_generated_code_names_its_class(cls):
-    # tracebacks and profiles tell the generated functions apart by it
+@contract
+def test_generated_code_names_its_class(cls, kwargs, text):
+    # tracebacks and profiles tell the generated functions apart by it;
+    # GeneratorWord writes its own __init__ and gets only __eq__
     filename = f"<{cls.__module__}.{cls.__qualname__}>"
-    assert cls.__init__.__code__.co_filename == filename
+    assert cls.__eq__.__code__.co_filename == filename
+    assert cls.__eq__.__qualname__ == f"{cls.__qualname__}.__eq__"
+    assert (cls.__init__.__code__.co_filename == filename) is (cls is not GeneratorWord)
     if "_of" in vars(cls):
         assert cls._of.__code__.co_filename == filename

@@ -198,23 +198,25 @@ def _shifted_r(compose):
      verify.Failure(0, "invert(omega) o omega omega={M=[[1309,2802],[-249,-533]], "
                        "r=266950608, u=294967156}",
                     "{M=[[1,0],[0,1]], r=0, u=0}", "{M=[[1,0],[0,1]], r=1, u=0}")),
-    # a tuple (v, M) on both sides, shown by str(tuple)
+    # the two parts of (v, M), each checked and shown on its own
     ("normal-form", 233,
      (aut, "normal_form", lambda nf: lambda omega: (
          lambda v, m: (aut.InnerVector(v.p + 1, v.q), m))(*nf(omega))),
-     verify.Failure(
-         0, "v=(869016180,-9704013) M=[[1,0],[0,1]]",
-         "(InnerVector(p=869016180, q=-9704013), "
-         "Gl2Matrix(m11=1, m12=0, m21=0, m22=1))",
-         "(InnerVector(p=869016181, q=-9704013), "
-         "Gl2Matrix(m11=1, m12=0, m21=0, m22=1))")),
-    # the raw pairs by their repr: eval_letters transposed
+     verify.Failure(0, "vector v=(869016180,-9704013) M=[[1,0],[0,1]]",
+                    "(869016180,-9704013)", "(869016181,-9704013)")),
+    ("normal-form", 233,
+     (aut, "normal_form", lambda nf: lambda omega: (
+         lambda v, m: (v, gl2.mat_multiply(m, gl2.D)))(*nf(omega))),
+     verify.Failure(0, "matrix v=(869016180,-9704013) M=[[1,0],[0,1]]",
+                    "[[1,0],[0,1]]", "[[-1,0],[0,1]]")),
+    # the raw pairs as letters: eval_letters transposed
     ("word-normalize", 34,
      (gl2, "eval_letters", lambda ev: lambda pairs: (
          lambda m: gl2.Gl2Matrix(m.m11, m.m21, m.m12, m.m22))(ev(pairs))),
-     verify.Failure(0, "generator powers raw=((<Letter.RHO: 'A'>, -4),)",
+     verify.Failure(0, "generator powers raw='A^-4'",
                     "[[1,-4],[0,1]]", "[[1,0],[-4,1]]")),
-], ids=["rd-hom", "invert-roundtrip", "normal-form", "word-normalize"])
+], ids=["rd-hom", "invert-roundtrip", "normal-form", "normal-form-matrix",
+        "word-normalize"])
 def test_failure_fields_are_pinned(monkeypatch, suite, seed, patch, failure):
     module, name, wrong = patch
     monkeypatch.setattr(module, name, wrong(getattr(module, name)))
