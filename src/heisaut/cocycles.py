@@ -16,9 +16,9 @@ extend() is the closed form M.a - a, with the fold as its oracle.
 A section given on generators is validated the same way: its values
 differ from the canonical section's by inner automorphisms, and those
 differences must form a cocycle, the coboundary of a vector a that the
-section keeps.  The difference of two sections is then the coboundary
-of the difference of their vectors; the generator-wise compose route
-is its oracle in verify.
+section reads off its offsets.  The difference of two sections is then
+the coboundary of the difference of their vectors; the generator-wise
+compose route is its oracle in verify.
 
 The punchline this module makes computable: the cocycle lattice has
 rank 2 and every cocycle is a coboundary phi(g) = g.a - a, so the
@@ -366,12 +366,11 @@ class SectionOnGenerators(_Value):
     word, because section is a homomorphism and section(M) o inner(v) =
     inner(M.v) o section(M).
 
-    The check derives the coboundary vector a of phi, and the section
-    keeps it for at().  It takes no part in ==, hash, repr or pickle:
-    unpickling rebuilds the section through the constructor."""
+    phi is the coboundary of a vector a, which at() and
+    section_difference() read off the offsets as _a."""
 
     __match_args__ = ("alpha_rho", "alpha_tau", "alpha_kappa")
-    __slots__ = (*__match_args__, "_a")
+    __slots__ = __match_args__
 
     def __post_init__(self) -> None:
         for sym, want in gl2.GENERATORS.items():
@@ -383,8 +382,23 @@ class SectionOnGenerators(_Value):
                 raise ValueError(
                     f"value on {sym.name.lower()} must project to {want}, got {got}"
                 )
-        object.__setattr__(
-            self, "_a", solve_coboundary(_canonical_difference(self)))
+        _canonical_difference(self)  # a Cocycle, so it checks the relators
+
+    @property
+    def _a(self) -> InnerVector:
+        """The vector a with phi = coboundary(a), for phi the section's
+        difference from canonical_section(): (alpha_tau.r, alpha_rho.u).
+
+        Proof.  solve_coboundary gives a = (-phi(tau).q, phi(rho).p).
+        section(A) and section(B) have zero offsets and det 1, so for
+        alpha_rho = (A, r, u) normal_form gives phi(rho) = (u - r, -r),
+        and for alpha_tau = (B, r, u) it gives phi(tau) = (u, -u - r).
+        The section passed the check, so phi is a Cocycle, and its
+        conditions phi(rho).q = 0 and phi(tau).p = 0 say alpha_rho.r = 0
+        and alpha_tau.u = 0.  Then phi(rho).p = alpha_rho.u and
+        -phi(tau).q = alpha_tau.r.
+        """
+        return InnerVector._of(self.alpha_tau.r, self.alpha_rho.u)
 
     def value(self, sym: Letter) -> Automorphism:
         return _by_letter(sym, self.alpha_rho, self.alpha_tau, self.alpha_kappa)
@@ -393,7 +407,8 @@ class SectionOnGenerators(_Value):
         """The section evaluated on an arbitrary matrix.
 
         It is the canonical section twisted by the coboundary of the
-        kept vector a, i.e. inner(M.a - a) o section(M).
+        vector a read off the offsets (see _a), i.e. inner(M.a - a) o
+        section(M).
         """
         a = self._a
         return compose(inner(act(m, a) - a), section(m))
@@ -445,13 +460,14 @@ def section_difference(
     alpha2: SectionOnGenerators, alpha1: SectionOnGenerators
 ) -> Cocycle:
     """The cocycle g -> alpha2(g) * alpha1(g)^-1, in closed form: the
-    coboundary of the difference of the two sections' kept vectors.
+    coboundary of the difference of the two sections' vectors (see
+    SectionOnGenerators._a).
 
     The difference lands in the kernel of the projection, i.e. in the
     inner automorphisms (I, r, u), identified with Z + Z as (u, -r).
 
     Proof.  With phi_i = coboundary(a_i) for the vector a_i that
-    alpha_i keeps, each value is alpha_i(l) = inner(phi_i(l)) o
+    alpha_i reads off, each value is alpha_i(l) = inner(phi_i(l)) o
     section(L), by construction.  So alpha2(l) o alpha1(l)^-1 =
     inner(phi2(l)) o section(L) o section(L)^-1 o inner(-phi1(l)) =
     inner(phi2(l) - phi1(l)), because inner is additive; and coboundary

@@ -565,11 +565,8 @@ def decompose(m: Gl2Matrix, strategy: str = "left") -> GeneratorWord:
     else:
         raise ValueError(f"unknown strategy {strategy!r} (expected 'left' or 'right')")
     # _euclid returns a reduced word, which GeneratorWord's
-    # normalization would not change; so the word is built unchecked,
-    # like the generated classes' _of
-    word = object.__new__(GeneratorWord)
-    object.__setattr__(word, "letters", tuple(letters))
-    return word
+    # normalization would not change; so the word is built unchecked
+    return GeneratorWord._of(tuple(letters))
 
 
 _MATRIX_RE = re.compile(

@@ -38,8 +38,8 @@ that builds a value from values already checked calls it, where a line
 of its docstring or a comment shows that the invariant holds by
 construction: a product, inverse or power of valid values is valid, and
 so are the sums, differences and negatives of pairs and cocycles, a
-matrix times a vector, and the coboundary maps between vectors and
-cocycles.  Such a function first checks the type of each value argument
+matrix times a vector, the coboundary maps between vectors and
+cocycles, and the reduced word decompose builds.  Such a function first checks the type of each value argument
 with _expect, so a foreign argument raises TypeError naming the
 parameter instead of coming back inside a value no constructor would
 accept.
@@ -85,10 +85,11 @@ class _Value:
 
     A class with a ``__post_init__`` also gets ``_of``, a classmethod
     with the same parameters that builds the value without running the
-    hook.  It is for library functions whose result is valid by
-    construction and that have checked their arguments' types: the group
-    law, matrix products and powers, automorphism composition, the
-    arithmetic of vectors and cocycles, ``act`` and the coboundary maps.
+    hook, even when it writes its own ``__init__``.  It is for library
+    functions whose result is valid by construction and that have
+    checked their arguments' types: the group law, matrix products and
+    powers, automorphism composition, the arithmetic of vectors and
+    cocycles, ``act``, the coboundary maps and ``decompose``.
     Public constructors, ``parse_*`` and unpickling always validate.
     """
 
@@ -134,13 +135,13 @@ def _make_methods(cls: type, fields: tuple[str, ...], init: bool) -> None:
     # each field is set by its slot's own setter, bound once here: it
     # skips the name lookup of object.__setattr__ on every call
     sets = "".join(f"    _set_{name}(self, {name})\n" for name in fields)
-    hooked = init and hasattr(cls, "__post_init__")
+    hooked = hasattr(cls, "__post_init__")
     if init:
         source += f"def __init__(self, {params}):\n{sets}"
+        if hooked:
+            source += "    self.__post_init__()\n"
     if hooked:
-        source += ("    self.__post_init__()\n"
-                   f"def _of(cls, {params}):\n    self = _new(cls)\n{sets}"
-                   "    return self\n")
+        source += f"def _of(cls, {params}):\n    self = _new(cls)\n{sets}    return self\n"
     # __name__ makes the functions' __module__ the class's, and the
     # filename names the class in tracebacks and profiles
     namespace = {f"_set_{name}": getattr(cls, name).__set__ for name in fields}

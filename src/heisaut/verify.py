@@ -15,7 +15,7 @@ Sampling ranges: element coordinates and center offsets are uniform in
 at most 20 (guaranteeing determinant +-1), and word-long's words have
 33 to 129 letters; shear parameters d are uniform in [-10^6, 10^6].
 
-A sampled suite has one failure path: a check that fails raises
+Every suite has one failure path: a check that fails raises
 _Mismatch(inputs, expected, actual) with the two sides it compared, so
 the first failed check of a sample ends that sample and becomes its
 Failure.  An equality check goes through _check_equal, which takes the
@@ -25,10 +25,11 @@ elements or 20-letter words into text.  The few checks that are not an
 equality, or that report strings other than the two sides they
 compare, raise _Mismatch themselves.  Any other exception is a failure
 too, one that names the exception and the sample's RNG key.  A static
-suite returns its failing cases instead.  At most three failures are
-recorded per suite, and a sampled suite stops at the third.  run()
-checks every suite name, the sample count and the seed before it runs
-any suite.
+suite (matrix-relations, relations, cocycle-lattice) checks fixed
+values: it runs as one sample, index 0, takes that sample's RNG like
+every suite and draws nothing from it.  At most three failures are
+recorded per suite, and a suite stops at the third.  run() checks every
+suite name, the sample count and the seed before it runs any suite.
 
 Where the library uses a closed form, the suites check it against the
 generic route it replaced: word folds for section() and extend(), the
@@ -83,12 +84,12 @@ class VerifyReport(heis._Value):
 
 
 class _Mismatch(Exception):
-    """A failed check of a sampled suite; args are (inputs, expected,
-    actual), the two sides as the check compared them."""
+    """A failed check of a suite; args are (inputs, expected, actual),
+    the two sides as the check compared them."""
 
 
 def _check_equal(expected, actual, inputs: str, *args) -> None:
-    # the equality check of a sampled suite: the label is formatted from
+    # the equality check of a suite: the label is formatted from
     # its template only when the check fails, never for a passing one
     if actual != expected:
         raise _Mismatch(inputs.format(*args), expected, actual)
@@ -102,17 +103,9 @@ class _Suite(heis._Value):
 _SUITES: dict[str, _Suite] = {}
 
 
-def _sampled(name: str):
+def _sampled(name: str, static: bool = False):
     def register(fn: Callable[[random.Random], None]):
-        _SUITES[name] = _Suite(name, fn, static=False)
-        return fn
-
-    return register
-
-
-def _static(name: str):
-    def register(fn: Callable[[], Iterable[tuple[str, str, str]]]):
-        _SUITES[name] = _Suite(name, fn, static=True)
+        _SUITES[name] = _Suite(name, fn, static)
         return fn
 
     return register
@@ -139,27 +132,20 @@ def run_suite(name: str, samples: int, seed: int) -> SuiteResult:
     start = time.perf_counter()
     failures: list[Failure] = []
     ran = 0
-    if suite.static:
-        ran = 1
+    for i in range(1 if suite.static else samples):
+        ran += 1
+        key = f"{seed}:{name}:{i}"
         try:
-            failures = [Failure(0, *f) for f in suite.fn()]
+            suite.fn(random.Random(key))
+            continue
+        except _Mismatch as exc:
+            failures.append(Failure(i, *map(str, exc.args)))
         except Exception as exc:
-            failures = [Failure(0, "static suite", *_raised(exc))]
-    else:
-        for i in range(samples):
-            ran += 1
-            key = f"{seed}:{name}:{i}"
-            try:
-                suite.fn(random.Random(key))
-                continue
-            except _Mismatch as exc:
-                failures.append(Failure(i, *map(str, exc.args)))
-            except Exception as exc:
-                failures.append(Failure(i, f"rng key {key}", *_raised(exc)))
-            if len(failures) >= MAX_RECORDED_FAILURES:
-                break
+            failures.append(Failure(i, f"rng key {key}", *_raised(exc)))
+        if len(failures) >= MAX_RECORDED_FAILURES:
+            break
     elapsed = time.perf_counter() - start
-    return SuiteResult(name, ran, seed, elapsed, tuple(failures[:MAX_RECORDED_FAILURES]))
+    return SuiteResult(name, ran, seed, elapsed, tuple(failures))
 
 
 def _raised(exc: Exception) -> tuple[str, str]:
@@ -415,13 +401,10 @@ def _word_long(rng: random.Random) -> None:
     _check_equal(folded, got, "{} letters raw={}", n, _RawLetters(pairs))
 
 
-@_static("matrix-relations")
-def _matrix_relations() -> list[tuple[str, str, str]]:
-    return [
-        (check.name, str(gl2.IDENTITY), str(check.product))
-        for check in gl2.check_presentation_relations()
-        if not check.ok
-    ]
+@_sampled("matrix-relations", static=True)
+def _matrix_relations(rng: random.Random) -> None:
+    for check in gl2.check_presentation_relations():
+        _check_equal(gl2.IDENTITY, check.product, "{}", check.name)
 
 
 # ---------------------------------------------------------------------------
@@ -497,44 +480,28 @@ def _inner_conjugation(rng: random.Random) -> None:
     _check_equal(gl2.IDENTITY, aut.project(inner), "projection v={}", v)
 
 
-@_static("relations")
-def _relations() -> list[tuple[str, str, str]]:
-    failures = []
+@_sampled("relations", static=True)
+def _relations(rng: random.Random) -> None:
     sigma = {sym: aut.section(m) for sym, m in gl2.GENERATORS.items()}
     on_generators = cocycles.canonical_section()
     for sym, value in sigma.items():
-        if on_generators.value(sym) != value:
-            failures.append((f"canonical value on {sym.name.lower()}",
-                             str(value), str(on_generators.value(sym))))
+        _check_equal(value, on_generators.value(sym), "canonical value on {}",
+                     sym.name.lower())
     for name, pairs in gl2.RELATORS:
-        product = on_generators.eval_letters(pairs)
-        if product != aut.IDENTITY_AUT:
-            failures.append(
-                (f"section relator {name}", str(aut.IDENTITY_AUT), str(product)))
-    aba = aut.compose(sigma[gl2.Letter.RHO],
-                      aut.compose(sigma[gl2.Letter.TAU], sigma[gl2.Letter.RHO]))
-    dad = aut.compose(
-        sigma[gl2.Letter.KAPPA],
-        aut.compose(sigma[gl2.Letter.RHO], aut.invert(sigma[gl2.Letter.KAPPA])),
-    )
-    dbd = aut.compose(
-        sigma[gl2.Letter.KAPPA],
-        aut.compose(sigma[gl2.Letter.TAU], aut.invert(sigma[gl2.Letter.KAPPA])),
-    )
-    fixed_values = (
+        _check_equal(aut.IDENTITY_AUT, on_generators.eval_letters(pairs),
+                     "section relator {}", name)
+    rho, tau, kappa = sigma.values()
+    aba = aut.compose(rho, aut.compose(tau, rho))
+    dad = aut.compose(kappa, aut.compose(rho, aut.invert(kappa)))
+    dbd = aut.compose(kappa, aut.compose(tau, aut.invert(kappa)))
+    for label, omega, arg, expected in (
         ("ABA on x", aba, heis.X, heis.HeisElement(0, -1, 1)),
         ("ABA on y", aba, heis.Y, heis.HeisElement(1, 0, 0)),
         ("DAD^-1 on y", dad, heis.Y, heis.HeisElement(-1, 1, 0)),
         ("DBD^-1 on x", dbd, heis.X, heis.HeisElement(1, 1, 0)),
-    )
-    for label, omega, arg, expected in fixed_values:
-        got = aut.apply(omega, arg)
-        if got != expected:
-            failures.append((label, str(expected), str(got)))
-    dd = aut.compose(sigma[gl2.Letter.KAPPA], sigma[gl2.Letter.KAPPA])
-    if dd != aut.IDENTITY_AUT:
-        failures.append(("sigma(D)^2", str(aut.IDENTITY_AUT), str(dd)))
-    return failures
+    ):
+        _check_equal(expected, aut.apply(omega, arg), label)
+    _check_equal(aut.IDENTITY_AUT, aut.compose(kappa, kappa), "sigma(D)^2")
 
 
 @_sampled("section-hom")
@@ -653,27 +620,24 @@ def _center_det(rng: random.Random) -> None:
 # ---------------------------------------------------------------------------
 # cohomology suites
 
-@_static("cocycle-lattice")
-def _cocycle_lattice() -> list[tuple[str, str, str]]:
-    failures = []
+@_sampled("cocycle-lattice", static=True)
+def _cocycle_lattice(rng: random.Random) -> None:
     report = cocycles.cocycle_lattice()
-    if report.rank != 2:
-        failures.append(("lattice rank", "2", str(report.rank)))
+    _check_equal(2, report.rank, "lattice rank")
     if not report.equals_coboundary_lattice:
-        failures.append(
-            ("lattice = coboundary lattice", "equal",
-             f"basis={report.basis} coboundary={report.coboundary_basis}"))
+        raise _Mismatch("lattice = coboundary lattice", "equal",
+                        f"basis={report.basis} coboundary={report.coboundary_basis}")
     for a in (aut.InnerVector(1, 0), aut.InnerVector(0, 1)):
         phi = cocycles.coboundary(a)
         if not cocycles.in_cocycle_lattice(phi, report):
-            failures.append((f"coboundary({a}) in lattice", "member", str(phi)))
+            raise _Mismatch(f"coboundary({a}) in lattice", "member", phi)
     # Cocycle's closed-form check, and the violation it reports, against
     # the linear relator system, on coboundaries and on triples that
     # break each relator
     v, zero = aut.InnerVector, aut.ZERO_VECTOR
     cob = cocycles.coboundary(v(3, -2))
     good = (cob.v_rho, cob.v_tau, cob.v_kappa)
-    triples = [
+    for triple in (
         good,
         (v(1, 0), zero, zero), (v(0, 1), zero, zero),
         (zero, v(1, 0), zero), (zero, v(0, 1), zero),
@@ -681,8 +645,7 @@ def _cocycle_lattice() -> list[tuple[str, str, str]]:
         (good[0] + v(0, 1), good[1], good[2]),
         (good[0], good[1] + v(5, 0), good[2]),
         (good[0], good[1], good[2] + v(0, -7)),
-    ]
-    for triple in triples:
+    ):
         expected = _linear_violation(triple)
         try:
             cocycles.Cocycle(*triple)
@@ -690,10 +653,9 @@ def _cocycle_lattice() -> list[tuple[str, str, str]]:
         except cocycles.RelatorViolation as exc:
             raised = exc.relator, exc.value
         if raised != expected:
-            failures.append((
+            raise _Mismatch(
                 "Cocycle = linear relator check on " + ", ".join(map(str, triple)),
-                str(expected), f"Cocycle raised {raised}"))
-    return failures
+                expected, f"Cocycle raised {raised}")
 
 
 def _linear_violation(

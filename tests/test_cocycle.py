@@ -10,6 +10,7 @@ from heisaut import aut, gl2
 from heisaut.aut import Automorphism, InnerVector, act, compose, inner, project
 from heisaut.cocycles import (
     ZERO_COCYCLE,
+    _canonical_difference,
     _extend_values,
     _relator_rows,
     Cocycle,
@@ -356,20 +357,24 @@ class TestSections:
         assert canonical_section() == fresh
         assert hash(canonical_section()) == hash(fresh)
 
-    def test_kept_vector_is_not_part_of_the_value(self):
-        # a section with a corrupted kept vector still compares, hashes
-        # and prints as before, and pickling rebuilds it from its values
+    def test_of_evaluates_at(self):
+        # the vector a is read off the offsets, so a section built by _of,
+        # which skips the check, evaluates like the checked one
         alpha = twist(canonical_section(), coboundary(InnerVector(3, -4)))
-        corrupt = SectionOnGenerators(
+        built = SectionOnGenerators._of(
             alpha.alpha_rho, alpha.alpha_tau, alpha.alpha_kappa)
-        object.__setattr__(corrupt, "_a", InnerVector(5, 5))
-        assert corrupt == alpha and hash(corrupt) == hash(alpha)
-        assert repr(corrupt) == repr(alpha) and "_a" not in repr(alpha)
-        assert str(corrupt) == str(alpha)
-        back = pickle.loads(pickle.dumps(corrupt))
-        assert back == alpha
-        assert back.at(gl2.A) == alpha.at(gl2.A) != corrupt.at(gl2.A)
-        assert pickle.dumps(corrupt) == pickle.dumps(alpha)
+        for m in (*gl2.GENERATORS.values(), gl2.Gl2Matrix(2, 1, 1, 1)):
+            assert built.at(m) == alpha.at(m)
+        assert section_difference(built, canonical_section()) == coboundary(
+            InnerVector(3, -4))
+
+    @given(huge_vectors, huge_vectors)
+    def test_vector_is_read_off_the_offsets(self, a1, a2):
+        # on a twist of the canonical section and on a twist of that
+        once = twist(canonical_section(), coboundary(a1))
+        twice = twist(once, coboundary(a2))
+        for alpha, a in ((once, a1), (twice, a1 + a2)):
+            assert alpha._a == solve_coboundary(_canonical_difference(alpha)) == a
 
     def test_rejects_wrong_projection(self):
         good = canonical_section()

@@ -343,19 +343,16 @@ def test_hook_runs_once_per_construction(cls, kwargs, monkeypatch):
 
 
 def test_of_is_on_the_generated_classes_with_the_hook():
-    # GeneratorWord writes its own __init__, so no _of is generated for it
+    # GeneratorWord writes its own __init__ and still gets _of
     built = {cls for cls, _, _ in VALUES if "_of" in vars(cls)}
-    assert built == set(VALIDATING) - {GeneratorWord}
+    assert built == set(VALIDATING)
     assert not any(hasattr(cls, "_of") for cls, _, _ in VALUES
                    if cls not in built)
     assert not hasattr(heis._Value, "_of")
 
 
-UNCHECKED = [(cls, kwargs) for cls, kwargs in HOOKED if cls is not GeneratorWord]
-
-
-@pytest.mark.parametrize("cls, kwargs", UNCHECKED,
-                         ids=[cls.__name__ for cls, _ in UNCHECKED])
+@pytest.mark.parametrize("cls, kwargs", HOOKED,
+                         ids=[cls.__name__ for cls, _ in HOOKED])
 def test_of_skips_the_hook(cls, kwargs, monkeypatch):
     assert tuple(inspect.signature(cls._of).parameters) == cls.__match_args__
     assert cls._of.__qualname__ == f"{cls.__qualname__}._of"
@@ -369,8 +366,8 @@ def test_of_skips_the_hook(cls, kwargs, monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("cls, kwargs", UNCHECKED,
-                         ids=[cls.__name__ for cls, _ in UNCHECKED])
+@pytest.mark.parametrize("cls, kwargs", HOOKED,
+                         ids=[cls.__name__ for cls, _ in HOOKED])
 def test_of_builds_the_subclass_it_is_called_on(cls, kwargs):
     class V(cls):
         __slots__ = ()

@@ -115,14 +115,62 @@ def test_raising_sample_exits_2(raising, capsys):
 
 
 def test_raising_static_suite_is_a_failure(monkeypatch):
-    def suite():
+    def suite(rng):
         raise ValueError("boom")
 
     monkeypatch.setitem(verify._SUITES, "relations",
                         verify._Suite("relations", suite, static=True))
     (result,) = verify.run(["relations"], samples=5).results
     assert (result.samples, result.failures) == (
-        1, (verify.Failure(0, "static suite", "no exception", "ValueError: boom"),))
+        1, (verify.Failure(0, "rng key 0:relations:0", "no exception",
+                           "ValueError: boom"),))
+
+
+STATIC = [name for name in verify.available_suites() if verify._SUITES[name].static]
+
+
+def test_the_static_suites():
+    assert STATIC == ["matrix-relations", "relations", "cocycle-lattice"]
+
+
+@pytest.mark.parametrize("name", STATIC)
+def test_static_suite_is_one_sample(name, capsys, monkeypatch):
+    # sample 0's RNG, from which the suite draws nothing
+    suite, states = verify._SUITES[name], []
+
+    def sample(rng):
+        before = rng.getstate()
+        suite.fn(rng)
+        states.append((before, rng.getstate()))
+
+    monkeypatch.setitem(verify._SUITES, name, verify._Suite(name, sample, static=True))
+    code = cli.main(["verify", name, "--samples", "7"])
+    assert code == 0
+    assert capsys.readouterr().out.startswith(f"PASS {name}: samples=1 seed=0 ")
+    ((before, after),) = states
+    assert before == after == random.Random(f"0:{name}:0").getstate()
+
+
+@pytest.fixture
+def broken_relators(monkeypatch):
+    # (rho tau rho)^2 and kappa in place of (rho tau rho)^4 and kappa^2:
+    # both checks fail, and a static suite reports the first
+    relators = dict(gl2.RELATORS)
+    relators["(rho tau rho)^4 = 1"] = gl2._RHO_TAU_RHO * 2
+    relators["kappa^2 = 1"] = ((gl2.Letter.KAPPA, 1),)
+    monkeypatch.setattr(gl2, "RELATORS", tuple(relators.items()))
+
+
+@pytest.mark.parametrize("name, failure", [
+    ("matrix-relations",
+     verify.Failure(0, "(rho tau rho)^4 = 1", "[[1,0],[0,1]]", "[[-1,0],[0,-1]]")),
+    ("relations",
+     verify.Failure(0, "section relator (rho tau rho)^4 = 1",
+                    "{M=[[1,0],[0,1]], r=0, u=0}", "{M=[[-1,0],[0,-1]], r=1, u=1}")),
+])
+def test_static_suite_reports_its_first_failed_check(broken_relators, name, failure):
+    (result,) = verify.run([name], samples=7).results
+    assert (result.samples, result.failures) == (1, (failure,))
 
 
 def test_identity_law_reports_the_failed_product(monkeypatch):

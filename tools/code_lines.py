@@ -7,9 +7,12 @@ string that is not a docstring, counts every line it spans.
 
     python3 tools/code_lines.py [PATH ...]
 
-Each PATH is a .py file or a directory, read recursively; the default
-is src/heisaut.  Prints one row per module, largest first, and the
-total.  Uses the standard library only.
+Each PATH is a .py file or a directory, read recursively.  With no
+PATH it reads src/heisaut of the checkout the script is in, from any
+working directory, and names its modules from the checkout's root.
+Prints one row per module, largest first, and the total; a PATH that
+does not exist is one line on stderr and exit status 1.  Uses the
+standard library only.
 """
 
 from __future__ import annotations
@@ -18,6 +21,9 @@ import ast
 import sys
 import tokenize
 from pathlib import Path
+
+# the checkout that holds this script
+_ROOT = Path(__file__).resolve().parent.parent
 
 # tokens that hold no code of their own
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
@@ -60,8 +66,13 @@ def _modules(paths: list[Path]) -> list[Path]:
 
 
 def main(argv: list[str]) -> int:
-    paths = [Path(arg) for arg in argv] or [Path("src/heisaut")]
-    counts = [(code_lines(f), str(f)) for f in _modules(paths)]
+    paths = [Path(arg) for arg in argv] or [_ROOT / "src" / "heisaut"]
+    for path in paths:
+        if not path.exists():
+            print(f"code_lines.py: no such file or directory: {path}", file=sys.stderr)
+            return 1
+    counts = [(code_lines(f), str(f if argv else f.relative_to(_ROOT)))
+              for f in _modules(paths)]
     counts.sort(key=lambda row: (-row[0], row[1]))
     width = max([len(name) for _, name in counts] + [len("total")])
     for n, name in counts:
