@@ -12,13 +12,18 @@ integer conditions that say the triple is a coboundary, and folds the
 relators only to name the one a bad triple breaks; the 10 x 6 system is
 left to cocycle_lattice() and to the oracle in verify.  Because every
 cocycle is a coboundary, solve_coboundary() reads its vector off and
-extend() is the closed form M.a - a, with the fold as its oracle.
+extend() is the closed form M.a - a, with the fold as its oracle;
+coboundary() writes its three values out from a's coordinates, with
+act as its oracle.
 A section given on generators is validated the same way: its values
 differ from the canonical section's by inner automorphisms, and those
 differences must form a cocycle, the coboundary of a vector a that the
 section reads off its offsets.  The difference of two sections is then
 the coboundary of the difference of their vectors; the generator-wise
-compose route is its oracle in verify.
+compose route is its oracle in verify.  twist() moves each value's two
+offsets in closed form and builds the section unchecked: the twist of
+a section by a cocycle differs from the canonical section by a sum of
+cocycles.  at() stays on the compose route.
 
 The punchline this module makes computable: the cocycle lattice has
 rank 2 and every cocycle is a coboundary phi(g) = g.a - a, so the
@@ -96,8 +101,11 @@ def _phi_power(
     (S_k val, L^k) from gl2._affine_power, in O(log k) exact steps; and
     phi(l^-k) = -L^-k.phi(l^k).  It stays on that generic route, not
     gl2._power_by_type, because its fold, _extend_values, is the oracle
-    for extend's closed form.
+    for extend's closed form.  Only exp = 1 returns (val, mat) at once,
+    as S_1 val = val and L^1 = L.
     """
+    if exp == 1:
+        return val, mat
     p, (vp, vq) = _affine_power(mat, val, abs(exp))
     if exp < 0:
         m11, m12, m21, m22 = p
@@ -252,7 +260,7 @@ def validate_cocycle(
 
 def extend(phi: Cocycle, w: GeneratorWord) -> InnerVector:
     """phi evaluated on M = eval_word(w), in closed form: M.a - a with
-    a = solve_coboundary(phi).
+    a = solve_coboundary(phi) = (-phi(tau).q, phi(rho).p).
 
     Proof.  phi passed the check at construction, so it has the
     generator values of coboundary(a) for the a that solve_coboundary
@@ -268,25 +276,28 @@ def extend(phi: Cocycle, w: GeneratorWord) -> InnerVector:
     >>> extend(coboundary(InnerVector(1, 2)), gl2.parse_word("A^3"))
     InnerVector(p=6, q=0)
     """
-    a = solve_coboundary(phi)
-    return act(gl2.eval_word(w), a) - a
+    # M times an int pair, minus it, is an int pair
+    _expect(phi, Cocycle, "phi")
+    a1, a2 = -phi.v_tau.q, phi.v_rho.p
+    m = gl2.eval_word(w)
+    return InnerVector._of(m.m11 * a1 + m.m12 * a2 - a1, m.m21 * a1 + m.m22 * a2 - a2)
 
 
 def coboundary(a: InnerVector) -> Cocycle:
-    """The cocycle g -> g.a - a.
+    """The cocycle g -> g.a - a, in closed form: its generator values
+    are (A - I)a = (a2, 0), (B - I)a = (0, -a1) and (D - I)a = (-2 a1, 0)
+    for a = (a1, a2), as A = [[1,1],[0,1]], B = [[1,0],[-1,1]] and
+    D = [[-1,0],[0,1]].  They meet the four conditions (see Cocycle).
 
     >>> coboundary(InnerVector(0, 1)).v_rho
     InnerVector(p=1, q=0)
     >>> coboundary(InnerVector(1, 0)).v_tau
     InnerVector(p=0, q=-1)
     """
-    # (L - I)a meets the four conditions, as Cocycle's docstring proves
     _expect(a, InnerVector, "a")
-    return Cocycle._of(
-        act(gl2.A, a) - a,
-        act(gl2.B, a) - a,
-        act(gl2.D, a) - a,
-    )
+    a1, a2 = a.p, a.q
+    return Cocycle._of(InnerVector._of(a2, 0), InnerVector._of(0, -a1),
+                       InnerVector._of(-2 * a1, 0))
 
 
 def solve_coboundary(phi: Cocycle) -> InnerVector:
@@ -410,6 +421,9 @@ class SectionOnGenerators(_Value):
         vector a read off the offsets (see _a), i.e. inner(M.a - a) o
         section(M).
         """
+        # kept on the compose route, not in closed form as twist() is:
+        # this is the module's last use of compose, and
+        # perfbench/selftest.py reads cocycles.compose
         a = self._a
         return compose(inner(act(m, a) - a), section(m))
 
@@ -445,7 +459,10 @@ def canonical_section() -> SectionOnGenerators:
 def _canonical_difference(alpha: SectionOnGenerators) -> Cocycle:
     # alpha's differences from the canonical section, without building
     # it: its values are section(A), section(B), section(D), and
-    # normal_form divides exactly those out
+    # normal_form divides exactly those out.  It stays on normal_form,
+    # not a closed form in the offsets, so that a defect there (in
+    # gl2._unit_det, say) already fails the canonical section's check at
+    # import
     return Cocycle(*(normal_form(alpha.value(sym))[0] for sym in gl2.GENERATORS))
 
 
@@ -483,19 +500,37 @@ def section_difference(
 
 
 def twist(sigma0: SectionOnGenerators, phi: Cocycle) -> SectionOnGenerators:
-    """The section g -> inner(phi(g)) * sigma0(g).  Twisting by a valid
-    cocycle preserves all five relators; together with
-    section_difference this makes the set of sections a single Z + Z
-    orbit.
+    """The section g -> inner(phi(g)) * sigma0(g), in closed form: with
+    (L, r, u) = sigma0(l) and (p, q) = phi(l), its value on l is
+
+        (L, r + p*l21 - q*l11, u + p*l22 - q*l12).
+
+    Twisting by a valid cocycle preserves all five relators; together
+    with section_difference this makes the set of sections a single
+    Z + Z orbit.
+
+    Proof.  inner(v) for v = (p, q) adds p*b - a*q to the c-coordinate,
+    so composed after (L, r, u) it moves the offsets of the images
+    (l11, l21, r) and (l12, l22, u) of x and y as above; this is the
+    inner(v) o (M, r, u) step of normal_form's proof.  The result is a
+    section: sigma0(l) = inner(psi(l)) o section(L) for sigma0's
+    difference psi, a Cocycle, so the value is inner(phi(l) + psi(l)) o
+    section(L), because inner is additive.  Its difference phi + psi is
+    a sum of cocycles, i.e. a Cocycle, which is exactly the check the
+    constructor makes; so the section is built unchecked.
 
     >>> twist(canonical_section(), ZERO_COCYCLE) == canonical_section()
     True
     """
     _expect(sigma0, SectionOnGenerators, "sigma0")
     _expect(phi, Cocycle, "phi")
-    return SectionOnGenerators(
-        *(compose(inner(phi.value(sym)), sigma0.value(sym)) for sym in gl2.GENERATORS)
-    )
+    return SectionOnGenerators._of(*(
+        Automorphism._of(omega.matrix, omega.r + v.p * l21 - v.q * l11,
+                         omega.u + v.p * l22 - v.q * l12)
+        for (l11, l12, l21, l22), omega, v in zip(
+            _GENERATOR_ENTRIES,
+            (sigma0.alpha_rho, sigma0.alpha_tau, sigma0.alpha_kappa),
+            (phi.v_rho, phi.v_tau, phi.v_kappa))))
 
 
 _COCYCLE_RE = re.compile(

@@ -39,7 +39,8 @@ of its docstring or a comment shows that the invariant holds by
 construction: a product, inverse or power of valid values is valid, and
 so are the sums, differences and negatives of pairs and cocycles, a
 matrix times a vector, the coboundary maps between vectors and
-cocycles, and the reduced word decompose builds.  Such a function first checks the type of each value argument
+cocycles, a section twisted by a valid cocycle, and the reduced word
+decompose builds.  Such a function first checks the type of each value argument
 with _expect, so a foreign argument raises TypeError naming the
 parameter instead of coming back inside a value no constructor would
 accept.
@@ -89,7 +90,7 @@ class _Value:
     functions whose result is valid by construction and that have
     checked their arguments' types: the group law, matrix products and
     powers, automorphism composition, the arithmetic of vectors and
-    cocycles, ``act``, the coboundary maps and ``decompose``.
+    cocycles, ``act``, the coboundary maps, ``twist`` and ``decompose``.
     Public constructors, ``parse_*`` and unpickling always validate.
     """
 

@@ -1,14 +1,17 @@
 """Seeded randomized verification of every library invariant.
 
 Each suite replays one invariant on freshly sampled inputs.  Sampling
-is deterministic: sample i of suite s under seed k uses its own
-random.Random(f"{k}:{s}:{i}"), so a report is reproducible from (seed,
-suite, samples) alone and independent samples could be sharded across
-workers without changing the outcome (the current runner is
-sequential; merging is by sample index).  The samplers take their
-draws straight from getrandbits, exactly as randint() and choice()
-made them, so a report depends only on the seed and the Mersenne
-Twister stream, not on random.py's helper code.
+is deterministic: sample i of suite s under seed k starts from the
+state of random.Random(f"{k}:{s}:{i}"), so a report is reproducible
+from (seed, suite, samples) alone and independent samples could be
+sharded across workers without changing the outcome (the current
+runner is sequential; merging is by sample index).  A suite run makes
+one generator, Random(key) for sample 0, and reseeds it with seed(key)
+for each later sample; Random(key) is seed(key), so the stream is the
+same as with a new generator per sample, without building one.  The
+samplers take their draws straight from getrandbits, exactly as
+randint() and choice() made them, so a report depends only on the seed
+and the Mersenne Twister stream, not on random.py's helper code.
 
 Sampling ranges: element coordinates and center offsets are uniform in
 [-10^9, 10^9]; matrices are built as random generator words of length
@@ -34,11 +37,14 @@ suite name, the sample count and the seed before it runs any suite.
 Where the library uses a closed form, the suites check it against the
 generic route it replaced: word folds for section() and extend(), the
 compose route for normal_form(), power() and section_difference() (for
-power() also at each conjugacy type of its matrix, in power-types), and
-the 10 x 6 relator system for Cocycle's four lattice conditions and the
-violation it reports.  word-long checks the product tree by which
-eval_letters multiplies the runs of a word of more than 32 letters
-against one column fold over all its letters.
+power() also at each conjugacy type of its matrix, in power-types),
+act and the validating Cocycle constructor for coboundary(), the
+relator folds and the validating SectionOnGenerators constructor (in
+parse-roundtrip) for twist(), and the 10 x 6 relator system for
+Cocycle's four lattice conditions and the violation it reports.
+word-long checks the product tree by which eval_letters multiplies the
+runs of a word of more than 32 letters against one column fold over
+all its letters.
 """
 
 from __future__ import annotations
@@ -132,11 +138,18 @@ def run_suite(name: str, samples: int, seed: int) -> SuiteResult:
     start = time.perf_counter()
     failures: list[Failure] = []
     ran = 0
+    rng = None
     for i in range(1 if suite.static else samples):
         ran += 1
         key = f"{seed}:{name}:{i}"
+        # one generator per suite run, reseeded per sample: Random(key)
+        # is seed(key), so sample i starts from Random(key)'s state
+        if rng is None:
+            rng = random.Random(key)
+        else:
+            rng.seed(key)
         try:
-            suite.fn(random.Random(key))
+            suite.fn(rng)
             continue
         except _Mismatch as exc:
             failures.append(Failure(i, *map(str, exc.args)))
@@ -674,8 +687,13 @@ def _linear_violation(
 @_sampled("coboundary-roundtrip")
 def _coboundary_roundtrip(rng: random.Random) -> None:
     a1, a2 = _rand_vector(rng), _rand_vector(rng)
-    _check_equal(a1, cocycles.solve_coboundary(cocycles.coboundary(a1)), "a={}", a1)
-    additive = cocycles.coboundary(a1) + cocycles.coboundary(a2)
+    # the closed form against (L - I)a through act and the validating
+    # constructor
+    cob = cocycles.coboundary(a1)
+    _check_equal(cocycles.Cocycle(*(aut.act(m, a1) - a1 for m in (gl2.A, gl2.B, gl2.D))),
+                 cob, "act route a={}", a1)
+    _check_equal(a1, cocycles.solve_coboundary(cob), "a={}", a1)
+    additive = cob + cocycles.coboundary(a2)
     _check_equal(cocycles.coboundary(a1 + a2), additive, "additivity a1={} a2={}",
                  a1, a2)
 
@@ -720,7 +738,9 @@ def _section_twist(rng: random.Random) -> None:
     a = _rand_vector(rng)
     phi = cocycles.coboundary(a)
     sigma0 = cocycles.canonical_section()
-    twisted = cocycles.twist(sigma0, phi)  # constructor re-checks relators
+    # built unchecked; the relator folds below and parse-roundtrip's
+    # validating rebuild check it
+    twisted = cocycles.twist(sigma0, phi)
     _check_equal(phi, cocycles.section_difference(twisted, sigma0),
                  "twist/diff roundtrip a={}", a)
     # the closed form against the generator-wise compose route

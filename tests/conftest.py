@@ -13,6 +13,11 @@ as a share of the profile's ``max_examples``, so it grows too.
 On POSIX each test gets WALL_TIME_S seconds of wall time (60, or 600
 under the large profile), so a library loop that never ends fails its
 test instead of hanging the run.  The slowest test takes a few seconds.
+
+``HEISAUT_CHECK_OF=1`` enables the plugin in checked_of.py: every value
+the library builds unchecked, with ``_of``, is checked as the
+constructor would check it, and the tests marked ``unchecked_of``, which
+assert that ``_of`` skips that check, are deselected.
 """
 
 import os
@@ -28,6 +33,16 @@ settings.register_profile(
 settings.load_profile(PROFILE)
 
 WALL_TIME_S = 600 if PROFILE == "large" else 60
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "unchecked_of: asserts that _of skips __post_init__; "
+        "deselected under HEISAUT_CHECK_OF=1")
+    if os.environ.get("HEISAUT_CHECK_OF") == "1":
+        import checked_of
+
+        config.pluginmanager.register(checked_of, "checked_of")
 
 
 class WallTimeExceeded(BaseException):

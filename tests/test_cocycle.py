@@ -333,6 +333,31 @@ class TestLinearCheckAtLargeSize:
         assert str(info.value).endswith(f"extension gives {value}, not (0,0)")
 
 
+class TestClosedFormsAtLargeSize:
+    # coboundary, extend and twist against the act and compose routes
+    # they replaced
+    @given(huge_vectors)
+    def test_coboundary_is_act_minus_a(self, a):
+        assert coboundary(a) == Cocycle(
+            *(act(m, a) - a for m in gl2.GENERATORS.values()))
+
+    @given(huge_vectors, words)
+    @settings(max_examples=settings().max_examples * 3 // 5, deadline=None)
+    def test_extend_is_act_minus_a(self, a, w):
+        assert extend(coboundary(a), w) == act(gl2.eval_word(w), a) - a
+
+    @given(st.builds(InnerVector, mixed, mixed), huge_vectors)
+    @settings(deadline=None)
+    def test_twist_is_inner_after_the_value(self, a0, a):
+        # on the canonical section (a0 = 0) and on twisted ones
+        sigma0 = twist(canonical_section(), coboundary(a0))
+        phi = coboundary(a)
+        twisted = twist(sigma0, phi)
+        for sym in Letter:
+            assert twisted.value(sym) == compose(inner(phi.value(sym)),
+                                                 sigma0.value(sym))
+
+
 class TestSections:
     def test_canonical_matches_section_map(self):
         alpha = canonical_section()

@@ -450,6 +450,7 @@ class TestUnitDet:
         for m in checked:
             assert _unit_det(*m.entries()) == m.det == det
 
+    @pytest.mark.unchecked_of
     def test_det_property_is_the_full_product(self):
         # an _of-built value skips the check; det must still tell the truth
         assert Gl2Matrix._of(2, 0, 0, 3).det == 6

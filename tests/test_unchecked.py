@@ -4,7 +4,8 @@ Each function that skips the constructor's validation because its
 result is valid by construction is run on operands up to 5000 bits,
 det -1 matrices and zero entries.  Rebuilding the result through its
 public constructor must succeed and give an equal value; for decompose,
-GeneratorWord's normalization must leave the word as it is.
+GeneratorWord's normalization must leave the word as it is, and for
+twist, SectionOnGenerators' constructor checks the relators again.
 """
 
 import pytest
@@ -37,6 +38,10 @@ automorphisms = st.builds(Automorphism, matrices, coords, coords)
 cocycle_values = st.builds(
     lambda a1, a2: Cocycle(InnerVector(a2, 0), InnerVector(0, -a1),
                            InnerVector(-2 * a1, 0)), coords, coords)
+# the canonical section twisted by a cocycle (by the zero one too)
+sections = st.builds(cocycles.twist, st.just(cocycles.canonical_section()),
+                     cocycle_values)
+words = st.builds(lambda raw: gl2.GeneratorWord(tuple(raw)), letter_pairs)
 
 CASES = [
     ("heis.multiply", heis.multiply, (elements, elements)),
@@ -66,6 +71,9 @@ CASES = [
     ("cocycles.solve_coboundary", cocycles.solve_coboundary, (cocycle_values,)),
     ("Cocycle.__add__", Cocycle.__add__, (cocycle_values, cocycle_values)),
     ("Cocycle.__neg__", Cocycle.__neg__, (cocycle_values,)),
+    ("cocycles.extend", cocycles.extend, (cocycle_values, words)),
+    ("cocycles.twist", cocycles.twist, (sections, cocycle_values)),
+    ("cocycles.section_difference", cocycles.section_difference, (sections, sections)),
 ]
 
 

@@ -351,6 +351,7 @@ def test_of_is_on_the_generated_classes_with_the_hook():
     assert not hasattr(heis._Value, "_of")
 
 
+@pytest.mark.unchecked_of
 @pytest.mark.parametrize("cls, kwargs", HOOKED,
                          ids=[cls.__name__ for cls, _ in HOOKED])
 def test_of_skips_the_hook(cls, kwargs, monkeypatch):
@@ -366,6 +367,7 @@ def test_of_skips_the_hook(cls, kwargs, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.unchecked_of
 @pytest.mark.parametrize("cls, kwargs", HOOKED,
                          ids=[cls.__name__ for cls, _ in HOOKED])
 def test_of_builds_the_subclass_it_is_called_on(cls, kwargs):
@@ -673,6 +675,7 @@ def test_foreign_argument_names_its_parameter(fn, required, name):
         fn(*args)
 
 
+@pytest.mark.unchecked_of
 @contract
 def test_generated_code_names_its_class(cls, kwargs, text):
     # tracebacks and profiles tell the generated functions apart by it;

@@ -152,6 +152,50 @@ def test_static_suite_is_one_sample(name, capsys, monkeypatch):
 
 
 @pytest.fixture
+def entry_states(monkeypatch):
+    # every suite wrapped to record the state of the generator each
+    # sample receives, on entry
+    states = {}
+    for name, suite in verify._SUITES.items():
+        def sample(rng, name=name, fn=suite.fn):
+            states.setdefault(name, []).append(rng.getstate())
+            fn(rng)
+
+        monkeypatch.setitem(verify._SUITES, name,
+                            verify._Suite(name, sample, suite.static))
+    return states
+
+
+@pytest.mark.parametrize("seed", [0, -5])
+def test_each_sample_starts_from_its_keyed_state(entry_states, seed):
+    # the replay contract: sample i of a suite under a seed starts from
+    # Random("seed:suite:i"), whatever the samples before it drew
+    assert verify.run(samples=3, seed=seed).ok
+    assert list(entry_states) == list(verify.available_suites())
+    for name, states in entry_states.items():
+        count = 1 if name in STATIC else 3
+        assert states == [random.Random(f"{seed}:{name}:{i}").getstate()
+                          for i in range(count)], name
+
+
+def test_gauss_leaves_nothing_for_the_next_sample(monkeypatch):
+    # gauss() caches its second normal draw in the generator; the next
+    # sample must not see it
+    suite, seen = verify._SUITES["group-axioms"], []
+
+    def sample(rng):
+        seen.append((rng.getstate(), rng.gauss_next))
+        rng.gauss()
+        suite.fn(rng)
+
+    monkeypatch.setitem(verify._SUITES, "group-axioms",
+                        verify._Suite("group-axioms", sample, static=False))
+    assert verify.run(["group-axioms"], samples=3, seed=0).ok
+    assert seen == [(random.Random(f"0:group-axioms:{i}").getstate(), None)
+                    for i in range(3)]
+
+
+@pytest.fixture
 def broken_relators(monkeypatch):
     # (rho tau rho)^2 and kappa in place of (rho tau rho)^4 and kappa^2:
     # both checks fail, and a static suite reports the first
