@@ -45,6 +45,21 @@ Cocycle's four lattice conditions and the violation it reports.
 word-long checks the product tree by which eval_letters multiplies the
 runs of a word of more than 32 letters against one column fold over
 all its letters.
+
+The suites that guard each closed form, to run at many samples after
+changing it:
+- the column-product offsets of apply, compose, invert and heis.power:
+  apply-hom, apply-closed-form, compose-pointwise, invert-roundtrip and
+  power-oracle, against the homomorphism laws, iterated multiplication
+  and gl2's own matrix product;
+- every formula that reads det M from its entries mod 4 (normal_form,
+  section): center-det, normal-form, section-hom and project-section,
+  on matrices of det 1 and -1, against Gl2Matrix.det;
+- the vector and cocycle builders that skip the constructors' checks
+  (act, the arithmetic of vectors and cocycles, coboundary,
+  solve_coboundary, extend, twist): exactness, inner-conjugation,
+  naturality, coboundary-roundtrip, lambda-hom and parse-roundtrip,
+  besides cocycle-extend and section-twist.
 """
 
 from __future__ import annotations

@@ -31,6 +31,7 @@ from heisaut.cocycles import canonical_section
 from heisaut.gl2 import Letter, _affine_power, _power_by_type
 from heisaut.heis import IDENTITY, X, Y, Z, HeisElement, inverse, multiply
 from heisaut.heis import power as elem_power
+from test_gl2 import long_word
 
 ints = st.integers()
 coords = st.integers(min_value=-10**9, max_value=10**9)
@@ -267,17 +268,6 @@ def compose_route(omega: Automorphism):
     delta = compose(omega, invert(section(m)))
     assert delta.matrix == gl2.IDENTITY
     return InnerVector(delta.u, -delta.r), m
-
-
-def long_word(length: int, seed: int):
-    # neighbouring letters differ, so nothing cancels
-    rng = random.Random(seed)
-    pairs, prev = [], None
-    for _ in range(length):
-        sym = rng.choice([s for s in Letter if s is not prev])
-        pairs.append((sym, rng.choice((1, -1)) * rng.randint(1, 9)))
-        prev = sym
-    return pairs
 
 
 class TestNormalForm:

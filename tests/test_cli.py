@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from heisaut import aut, cli, cocycles, gl2, heis, verify
 from heisaut.cocycles import canonical_section, format_section
+from test_gl2 import long_word
 
 
 def run(capsys, *argv):
@@ -197,6 +198,17 @@ class TestGl2:
         assert word == "A^-1 B^-1 A B A^2 B\n"
         assert run(capsys, "gl2", "eval-word", word.strip())[1] == \
             "[[0,1],[-1,0]]\n"
+
+    @pytest.mark.parametrize("strategy", ["left", "right"])
+    def test_decompose_at_benchmark_size(self, capsys, strategy):
+        # the matrix of one seeded 3000-letter word, which nothing
+        # cancels, through decompose and back through eval-word
+        m = str(gl2.eval_letters(long_word(3000, seed=3000)))
+        code, word, err = run(capsys, "gl2", "decompose", "--strategy",
+                              strategy, m)
+        assert (code, err) == (0, "")
+        assert run(capsys, "gl2", "eval-word", word.rstrip("\n")) == \
+            (0, m + "\n", "")
 
     def test_normalize(self, capsys):
         assert run(capsys, "gl2", "normalize", "A A^2 B B^-1 D^3")[1] == \
