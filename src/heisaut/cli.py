@@ -26,16 +26,10 @@ A command imports only the modules it calls: the table names each
 library function and value parser as "module.name", looked up when the
 command runs, and each ``_cmd_*`` handler imports its module itself.
 Building the parser, ``--help`` and usage errors load heis alone (for
-the integer grammar).  The heisaut modules each family loads:
-
-    elem              heis
-    gl2               heis, gl2
-    aut               heis, gl2, aut
-    cocycle           heis, gl2, aut, cocycles, zlattice
-    verify            heis, gl2, aut, cocycles, zlattice, verify
-
-(gl2 brings the private _backend and _kernels along.)  ``json`` is
-imported only by --json.
+the integer grammar).  README's "CLI" section has the table of the
+heisaut modules each family loads; tests/test_readme.py checks it
+against the modules tests/test_cli.py sees a process load.  ``json``
+is imported only by --json.
 """
 
 from __future__ import annotations

@@ -33,17 +33,20 @@ Name(field=value, ...), pickling and copying through the constructor
 assigning or deleting a field.
 
 A class with a __post_init__ also gets a private classmethod _of over
-the same fields, which sets them and skips the hook.  Only library code
-that builds a value from values already checked calls it, where a line
-of its docstring or a comment shows that the invariant holds by
-construction: a product, inverse or power of valid values is valid, and
-so are the sums, differences and negatives of pairs and cocycles, a
-matrix times a vector, the coboundary maps between vectors and
-cocycles, a section twisted by a valid cocycle, and the reduced word
-decompose builds.  Such a function first checks the type of each value argument
+the same fields, which sets them and skips the hook.  This is the one
+statement of the rule for calling it, which the rest of the package
+points to: only library code that builds a value from values already
+checked calls _of, and each call carries a one-line proof beside it,
+in its function's docstring or a comment, that the value meets the
+class's check by construction (a product of valid matrices is valid,
+say).  Such a function first checks the type of each value argument
 with _expect, so a foreign argument raises TypeError naming the
 parameter instead of coming back inside a value no constructor would
-accept.
+accept.  tests/checked_of.py re-runs the check on every _of build, in
+the tests under HEISAUT_CHECK_OF=1 and in tools/checked_verify.py, and
+tests/test_unchecked.py rebuilds each such result through its
+validating constructor at 5000-bit operands.  Public constructors,
+parse_* and unpickling always validate.
 """
 
 from __future__ import annotations
@@ -86,12 +89,9 @@ class _Value:
 
     A class with a ``__post_init__`` also gets ``_of``, a classmethod
     with the same parameters that builds the value without running the
-    hook, even when it writes its own ``__init__``.  It is for library
-    functions whose result is valid by construction and that have
-    checked their arguments' types: the group law, matrix products and
-    powers, automorphism composition, the arithmetic of vectors and
-    cocycles, ``act``, the coboundary maps, ``twist`` and ``decompose``.
-    Public constructors, ``parse_*`` and unpickling always validate.
+    hook, even when it writes its own ``__init__``.  Who may call it,
+    and how each call is proved and re-checked, is stated once, in the
+    module docstring.
     """
 
     __slots__ = ()

@@ -18,21 +18,23 @@ Sampling ranges: element coordinates and center offsets are uniform in
 at most 20 (guaranteeing determinant +-1), and word-long's words have
 33 to 129 letters; shear parameters d are uniform in [-10^6, 10^6].
 
-Every suite has one failure path: a check that fails raises
-_Mismatch(inputs, expected, actual) with the two sides it compared, so
-the first failed check of a sample ends that sample and becomes its
-Failure.  An equality check goes through _check_equal, which takes the
-inputs label as a str.format template and its values and formats it
-only when the check fails: a passing check never turns its 10^9-sized
-elements or 20-letter words into text.  The few checks that are not an
-equality, or that report strings other than the two sides they
-compare, raise _Mismatch themselves.  Any other exception is a failure
-too, one that names the exception and the sample's RNG key.  A static
-suite (matrix-relations, relations, cocycle-lattice) checks fixed
-values: it runs as one sample, index 0, takes that sample's RNG like
-every suite and draws nothing from it.  At most three failures are
-recorded per suite, and a suite stops at the third.  run() checks every
-suite name, the sample count and the seed before it runs any suite.
+Every suite has one failure path: every check goes through
+_check_equal(expected, actual, template, *args), the only code that
+raises _Mismatch(inputs, expected, actual), so the first failed check
+of a sample ends that sample and becomes its Failure, with the two
+sides it compared.  Each check's label is a constant str.format
+template over the sample's values, formatted only when the check
+fails: a passing check never turns its 10^9-sized elements or
+20-letter words into text.  A check of a property compares it with the
+value it must have: True for centrality and the lattice checks, None
+for word-normalize's index of the first unreduced letter.  Any other
+exception is a failure too, one that names the exception and the
+sample's RNG key.  A static suite (matrix-relations, relations,
+cocycle-lattice) checks fixed values: it runs as one sample, index 0,
+takes that sample's RNG like every suite and draws nothing from it.
+At most three failures are recorded per suite, and a suite stops at
+the third.  run() checks every suite name, the sample count and the
+seed before it runs any suite.
 
 Where the library uses a closed form, the suites check it against the
 generic route it replaced: word folds for section() and extend(), the
@@ -110,8 +112,8 @@ class _Mismatch(Exception):
 
 
 def _check_equal(expected, actual, inputs: str, *args) -> None:
-    # the equality check of a suite: the label is formatted from
-    # its template only when the check fails, never for a passing one
+    # every check of a suite, and the only raise of _Mismatch: the
+    # label is formatted from its template only when the check fails
     if actual != expected:
         raise _Mismatch(inputs.format(*args), expected, actual)
 
@@ -169,19 +171,15 @@ def run_suite(name: str, samples: int, seed: int) -> SuiteResult:
         except _Mismatch as exc:
             failures.append(Failure(i, *map(str, exc.args)))
         except Exception as exc:
-            failures.append(Failure(i, f"rng key {key}", *_raised(exc)))
+            # a library defect may show as an exception, and then it is a
+            # FAIL of that sample, not the end of the run; KeyboardInterrupt
+            # still ends it
+            failures.append(Failure(i, f"rng key {key}", "no exception",
+                                    f"{type(exc).__name__}: {exc}"))
         if len(failures) >= MAX_RECORDED_FAILURES:
             break
     elapsed = time.perf_counter() - start
     return SuiteResult(name, ran, seed, elapsed, tuple(failures))
-
-
-def _raised(exc: Exception) -> tuple[str, str]:
-    # (expected, actual) of a suite that raised something other than a
-    # _Mismatch: a library defect may show as an exception, and then it
-    # is a FAIL of that sample, not the end of the run; KeyboardInterrupt
-    # still ends it
-    return "no exception", f"{type(exc).__name__}: {exc}"
 
 
 def run(
@@ -219,11 +217,9 @@ def _rand_element(rng: random.Random, bound: int = ELEMENT_BOUND) -> heis.HeisEl
 _LETTERS = tuple(gl2.GENERATORS)
 
 
-def _rand_pairs(
-    rng: random.Random, max_len: int = WORD_LENGTH, max_exp: int = WORD_EXPONENT
-) -> list[gl2.LetterPair]:
+def _rand_pairs(rng: random.Random, max_len: int = WORD_LENGTH) -> list[gl2.LetterPair]:
     # the draws of randint(0, max_len), then per letter choice(_LETTERS),
-    # choice((1, -1)) and randint(1, max_exp), each made inline as in
+    # choice((1, -1)) and randint(1, WORD_EXPONENT), each made inline as in
     # _rand_int (a choice of 3 or of 2 takes 2 bits); a helper call per
     # draw would cost most of the gain
     getrandbits = rng.getrandbits
@@ -232,6 +228,7 @@ def _rand_pairs(
     length = getrandbits(k)
     while length >= n:
         length = getrandbits(k)
+    max_exp = WORD_EXPONENT
     k = max_exp.bit_length()
     pairs = []
     for _ in range(length):
@@ -261,8 +258,8 @@ def _rand_aut(rng: random.Random, max_len: int = WORD_LENGTH) -> aut.Automorphis
     return aut.Automorphism(_rand_matrix(rng, max_len), _rand_int(rng), _rand_int(rng))
 
 
-def _rand_vector(rng: random.Random, bound: int = ELEMENT_BOUND) -> aut.InnerVector:
-    return aut.InnerVector(_rand_int(rng, bound), _rand_int(rng, bound))
+def _rand_vector(rng: random.Random) -> aut.InnerVector:
+    return aut.InnerVector(_rand_int(rng), _rand_int(rng))
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +325,7 @@ def _central_commute(rng: random.Random) -> None:
     commutes = all(
         heis.multiply(g, h) == heis.multiply(h, g) for h in (heis.X, heis.Y)
     )
-    central = heis.is_central(g)
-    if commutes != central:
-        raise _Mismatch(f"g={g}", f"is_central={central}", f"commutes={commutes}")
+    _check_equal(heis.is_central(g), commutes, "commutes with x and y g={}", g)
 
 
 @_sampled("commutator-oracle")
@@ -341,8 +336,7 @@ def _commutator_oracle(rng: random.Random) -> None:
     )
     got = heis.commutator(g1, g2)
     _check_equal(expanded, got, "g1={} g2={}", g1, g2)
-    if not heis.is_central(got):
-        raise _Mismatch(f"centrality g1={g1} g2={g2}", "central", got)
+    _check_equal(True, heis.is_central(got), "centrality of {} g1={} g2={}", got, g1, g2)
 
 
 # ---------------------------------------------------------------------------
@@ -365,17 +359,6 @@ def _word_roundtrip(rng: random.Random) -> None:
                          strategy, m)
 
 
-@_sampled("word-det")
-def _word_det(rng: random.Random) -> None:
-    pairs = _rand_pairs(rng)
-    m = gl2.eval_letters(pairs)
-    kappa_exp = sum(exp for sym, exp in pairs if sym is _KAPPA)
-    expected = -1 if kappa_exp % 2 else 1
-    if m.det != expected:
-        word = gl2.format_word(gl2.GeneratorWord(tuple(pairs)))
-        raise _Mismatch(f"word={word!r}", expected, m.det)
-
-
 class _RawLetters:
     """Letter pairs as a label shows them, quoted: 'A^-4 B^3', and '' for
     none.  The text is made only when a failing check formats it."""
@@ -387,6 +370,14 @@ class _RawLetters:
 
     def __str__(self) -> str:
         return repr(" ".join(f"{sym.value}^{exp}" for sym, exp in self.pairs))
+
+
+@_sampled("word-det")
+def _word_det(rng: random.Random) -> None:
+    pairs = _rand_pairs(rng)
+    m = gl2.eval_letters(pairs)
+    kappa_exp = sum(exp for sym, exp in pairs if sym is _KAPPA)
+    _check_equal(-1 if kappa_exp % 2 else 1, m.det, "raw={}", _RawLetters(pairs))
 
 
 @_sampled("word-normalize")
@@ -402,14 +393,11 @@ def _word_normalize(rng: random.Random) -> None:
     w = gl2.GeneratorWord(pairs)
     _check_equal(folded, gl2.eval_word(w), "evaluation invariance raw={}", raw)
     _check_equal(w, gl2.GeneratorWord(w.letters), "idempotence w={}", w)
-    for i, (sym, exp) in enumerate(w.letters):
-        bad = (
-            exp == 0
-            or (sym is _KAPPA and exp != 1)
-            or (i > 0 and w.letters[i - 1][0] is sym)
-        )
-        if bad:
-            raise _Mismatch(f"normal form w={w}", "normalized letters", w.letters)
+    letters = w.letters
+    bad = next((i for i, (sym, exp) in enumerate(letters)
+                if exp == 0 or sym is _KAPPA and exp != 1
+                or i and letters[i - 1][0] is sym), None)
+    _check_equal(None, bad, "first unreduced letter w={}", w)
 
 
 @_sampled("word-long")
@@ -639,10 +627,8 @@ def _center_det(rng: random.Random) -> None:
     omega = _rand_aut(rng)
     image = aut.center_image(omega)
     _check_equal(omega.matrix.det, image, "omega={}", omega)
-    fixes_z = aut.apply(omega, heis.Z) == heis.Z
-    plus = aut.is_aut_plus(omega)
-    if plus != fixes_z:
-        raise _Mismatch(f"omega={omega}", f"fixes z: {fixes_z}", f"is_aut_plus: {plus}")
+    _check_equal(aut.apply(omega, heis.Z) == heis.Z, aut.is_aut_plus(omega),
+                 "is_aut_plus against fixing z omega={}", omega)
 
 
 # ---------------------------------------------------------------------------
@@ -652,13 +638,12 @@ def _center_det(rng: random.Random) -> None:
 def _cocycle_lattice(rng: random.Random) -> None:
     report = cocycles.cocycle_lattice()
     _check_equal(2, report.rank, "lattice rank")
-    if not report.equals_coboundary_lattice:
-        raise _Mismatch("lattice = coboundary lattice", "equal",
-                        f"basis={report.basis} coboundary={report.coboundary_basis}")
+    _check_equal(True, report.equals_coboundary_lattice,
+                 "lattice = coboundary lattice basis={} coboundary={}",
+                 report.basis, report.coboundary_basis)
     for a in (aut.InnerVector(1, 0), aut.InnerVector(0, 1)):
-        phi = cocycles.coboundary(a)
-        if not cocycles.in_cocycle_lattice(phi, report):
-            raise _Mismatch(f"coboundary({a}) in lattice", "member", phi)
+        _check_equal(True, cocycles.in_cocycle_lattice(cocycles.coboundary(a), report),
+                     "coboundary({}) in lattice", a)
     # Cocycle's closed-form check, and the violation it reports, against
     # the linear relator system, on coboundaries and on triples that
     # break each relator
@@ -680,10 +665,8 @@ def _cocycle_lattice(rng: random.Random) -> None:
             raised = None
         except cocycles.RelatorViolation as exc:
             raised = exc.relator, exc.value
-        if raised != expected:
-            raise _Mismatch(
-                "Cocycle = linear relator check on " + ", ".join(map(str, triple)),
-                expected, f"Cocycle raised {raised}")
+        _check_equal(expected, raised, "Cocycle = linear relator check on {}, {}, {}",
+                     *triple)
 
 
 def _linear_violation(

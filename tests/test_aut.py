@@ -31,7 +31,7 @@ from heisaut.cocycles import canonical_section
 from heisaut.gl2 import Letter, _affine_power, _power_by_type
 from heisaut.heis import IDENTITY, X, Y, Z, HeisElement, inverse, multiply
 from heisaut.heis import power as elem_power
-from test_gl2 import long_word
+from test_gl2 import FINITE_IDS, FINITE_ORDER, long_word
 
 ints = st.integers()
 coords = st.integers(min_value=-10**9, max_value=10**9)
@@ -549,14 +549,7 @@ class TestAffinePower:
             ((1, n, 0, 1), (n * v1 + n * (n - 1) // 2 * v2, n * v2))
 
 
-# one matrix of each conjugacy class of finite order in GL(2,Z), with
-# its order p (-I takes the parabolic branch), and two parabolic cores
-FINITE_ORDER = (
-    (4, gl2.Gl2Matrix(0, 1, -1, 0)), (6, gl2.Gl2Matrix(0, 1, -1, 1)),
-    (3, gl2.Gl2Matrix(0, 1, -1, -1)), (2, gl2.Gl2Matrix(-1, 0, 0, -1)),
-    (2, gl2.Gl2Matrix(0, 1, 1, 0)), (2, gl2.D),
-)
-FINITE_IDS = ["order-4", "order-6", "order-3", "minus-I", "swap", "D"]
+# the finite-order cores of test_gl2, and two parabolic cores
 cores = st.one_of(
     st.sampled_from([m for _, m in FINITE_ORDER]),
     st.builds(lambda sign, d: gl2.Gl2Matrix(sign, sign * d, 0, sign),

@@ -1,8 +1,10 @@
 """The verify runner's argument checks, its report of a sample that
 raises or fails a check, and its samplers' random stream."""
 
+import ast
 import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -278,6 +280,31 @@ def _shifted_r(compose):
     return wrong
 
 
+def _column_1_negated(eval_letters):
+    # eval_letters with det M flipped
+    def wrong(pairs):
+        m = eval_letters(pairs)
+        return gl2.Gl2Matrix(-m.m11, m.m12, -m.m21, m.m22)
+    return wrong
+
+
+def _lattice_unequal(cocycle_lattice):
+    # the report with equals_coboundary_lattice False
+    def wrong():
+        report = cocycle_lattice()
+        return cocycles.LatticeReport(report.rank, report.basis,
+                                      report.coboundary_basis, False)
+    return wrong
+
+
+def _violation_negated(first_violation):
+    # the right relator with the negated value
+    def wrong(*values):
+        relator, value = first_violation(*values)
+        return relator, -value
+    return wrong
+
+
 # the whole Failure of one sample under a wrong library function: its
 # label, and both sides as the report prints them
 @pytest.mark.parametrize("suite, seed, patch, failure", [
@@ -307,13 +334,64 @@ def _shifted_r(compose):
          lambda m: gl2.Gl2Matrix(m.m11, m.m21, m.m12, m.m22))(ev(pairs))),
      verify.Failure(0, "generator powers raw='A^-4'",
                     "[[1,-4],[0,1]]", "[[1,0],[-4,1]]")),
+    # the checks of a property, each against the value it must have
+    ("central-commute", 1, (heis, "is_central", lambda _: lambda g: True),
+     verify.Failure(0, "commutes with x and y g=(515381135,146636583,574602874)",
+                    "True", "False")),
+    ("commutator-oracle", 0, (heis, "is_central", lambda _: lambda g: False),
+     verify.Failure(0, "centrality of (0,0,88530978915650025) "
+                       "g1=(-824383825,200257763,780423877) "
+                       "g2=(321427550,-185471059,-156017274)", "True", "False")),
+    ("word-det", 0, (gl2, "eval_letters", _column_1_negated),
+     verify.Failure(0, "raw='A^-7 A^2 A^8 A^7 B^-1 D^1 B^-2 D^-8 D^-3 A^-9'",
+                    "1", "-1")),
+    ("word-normalize", 0, (gl2, "_normalize", lambda _: lambda letters: tuple(letters)),
+     verify.Failure(0, "first unreduced letter w=B^6 B^-3 D^4", "None", "1")),
+    ("center-det", 4, (aut, "is_aut_plus", lambda _: lambda omega: True),
+     verify.Failure(0, "is_aut_plus against fixing z omega={M=[[-2232408,-169733],"
+                       "[-2138381,-162584]], r=965679009, u=63611461}",
+                    "False", "True")),
+    ("cocycle-lattice", 0, (cocycles, "cocycle_lattice", _lattice_unequal),
+     verify.Failure(0, "lattice = coboundary lattice basis=((1, 0, 0, 0, 0, 0), "
+                       "(0, 0, 0, 1, 2, 0)) coboundary=((0, 0, 0, -1, -2, 0), "
+                       "(1, 0, 0, 0, 0, 0))", "True", "False")),
+    ("cocycle-lattice", 0,
+     (cocycles, "in_cocycle_lattice", lambda _: lambda phi, report: False),
+     verify.Failure(0, "coboundary((1,0)) in lattice", "True", "False")),
+    ("cocycle-lattice", 0, (cocycles, "_first_violation", _violation_negated),
+     verify.Failure(0, "Cocycle = linear relator check on (0,1), (0,0), (0,0)",
+                    "('rho tau rho = tau rho tau', InnerVector(p=1, q=1))",
+                    "('rho tau rho = tau rho tau', InnerVector(p=-1, q=-1))")),
 ], ids=["rd-hom", "invert-roundtrip", "normal-form", "normal-form-matrix",
-        "word-normalize"])
+        "word-normalize", "central-commute", "commutator-oracle", "word-det",
+        "word-normalize-letters", "center-det", "cocycle-lattice-equal",
+        "cocycle-lattice-member", "cocycle-lattice-relator"])
 def test_failure_fields_are_pinned(monkeypatch, suite, seed, patch, failure):
     module, name, wrong = patch
     monkeypatch.setattr(module, name, wrong(getattr(module, name)))
     (result,) = verify.run([suite], samples=1, seed=seed).results
     assert result.failures == (failure,)
+
+
+def _mismatch_raises(node):
+    # the lines of the raise statements under node that raise _Mismatch
+    lines = []
+    for child in ast.walk(node):
+        if isinstance(child, ast.Raise):
+            exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+            if isinstance(exc, ast.Name) and exc.id == "_Mismatch":
+                lines.append(child.lineno)
+    return lines
+
+
+def test_only_check_equal_raises_mismatch():
+    # one failure path: every check goes through _check_equal, so each
+    # failure has the fixed label of its check
+    tree = ast.parse(Path(verify.__file__).read_text())
+    (check_equal,) = (node for node in ast.walk(tree)
+                      if isinstance(node, ast.FunctionDef)
+                      and node.name == "_check_equal")
+    assert _mismatch_raises(tree) == _mismatch_raises(check_equal) != []
 
 
 # sha256 of the samplers' output below, as the code gave it when the
