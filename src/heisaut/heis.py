@@ -39,10 +39,12 @@ points to: only library code that builds a value from values already
 checked calls _of, and each call carries a one-line proof beside it,
 in its function's docstring or a comment, that the value meets the
 class's check by construction (a product of valid matrices is valid,
-say).  Such a function first checks the type of each value argument
-with _expect, so a foreign argument raises TypeError naming the
-parameter instead of coming back inside a value no constructor would
-accept.  tests/checked_of.py re-runs the check on every _of build, in
+say).  The rule covers verify's samplers too: they build from the ints
+they draw and from the det +-1 column operations they fold.  Such a
+function first checks the type of each value argument with _expect, so
+a foreign argument raises TypeError naming the parameter instead of
+coming back inside a value no constructor would accept.
+tests/checked_of.py re-runs the check on every _of build, in
 the tests under HEISAUT_CHECK_OF=1 and in tools/checked_verify.py, and
 tests/test_unchecked.py rebuilds each such result through its
 validating constructor at 5000-bit operands.  Public constructors,

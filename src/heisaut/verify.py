@@ -11,7 +11,14 @@ for each later sample; Random(key) is seed(key), so the stream is the
 same as with a new generator per sample, without building one.  The
 samplers take their draws straight from getrandbits, exactly as
 randint() and choice() made them, so a report depends only on the seed
-and the Mersenne Twister stream, not on random.py's helper code.
+and the Mersenne Twister stream, not on random.py's helper code.  Each
+draw goes straight into the value it builds: the matrix samplers fold
+each letter into the matrix by gl2._fold_columns' column operation as
+it is drawn, with no letter list and no eval_letters call, and the
+element, matrix, automorphism and vector samplers build with _of.
+Samplers are not checks, so this takes no oracle away;
+tests/test_verify.py checks each sampler against the draws and
+constructors it replaced.
 
 Sampling ranges: element coordinates and center offsets are uniform in
 [-10^9, 10^9]; matrices are built as random generator words of length
@@ -156,9 +163,10 @@ def run_suite(name: str, samples: int, seed: int) -> SuiteResult:
     failures: list[Failure] = []
     ran = 0
     rng = None
+    prefix = f"{seed}:{name}:"
     for i in range(1 if suite.static else samples):
         ran += 1
-        key = f"{seed}:{name}:{i}"
+        key = f"{prefix}{i}"
         # one generator per suite run, reseeded per sample: Random(key)
         # is seed(key), so sample i starts from Random(key)'s state
         if rng is None:
@@ -195,7 +203,11 @@ def run(
 
 
 # ---------------------------------------------------------------------------
-# samplers
+# samplers: each after _rand_int makes its draws inline, as its own
+# rejection loops, since a helper call per draw costs about as much as
+# the draw.  The element, matrix, automorphism and vector samplers build
+# with _of, each with its proof beside it (see heis); _rand_word's
+# GeneratorWord normalizes its letters, so it keeps the constructor.
 
 def _rand_int(rng: random.Random, bound: int = ELEMENT_BOUND) -> int:
     # randint(-bound, bound), drawn as Random._randbelow draws it: k bits
@@ -209,19 +221,35 @@ def _rand_int(rng: random.Random, bound: int = ELEMENT_BOUND) -> int:
 
 
 def _rand_element(rng: random.Random, bound: int = ELEMENT_BOUND) -> heis.HeisElement:
-    return heis.HeisElement(
-        _rand_int(rng, bound), _rand_int(rng, bound), _rand_int(rng, bound)
-    )
+    # three _rand_int(rng, bound); int coordinates make an element
+    getrandbits = rng.getrandbits
+    n = 2 * bound + 1
+    k = n.bit_length()
+    a = getrandbits(k)
+    while a >= n:
+        a = getrandbits(k)
+    b = getrandbits(k)
+    while b >= n:
+        b = getrandbits(k)
+    c = getrandbits(k)
+    while c >= n:
+        c = getrandbits(k)
+    return heis.HeisElement._of(a - bound, b - bound, c - bound)
 
 
 _LETTERS = tuple(gl2.GENERATORS)
+
+# _PAIRS[sym][sign][exp] is the letter pair the draws (sym, sign, exp)
+# of _rand_pairs give: (_LETTERS[sym], 1 + exp), negated when sign is 1
+_PAIRS = tuple(tuple(tuple((sym, s * (1 + exp)) for exp in range(WORD_EXPONENT))
+                     for s in (1, -1))
+               for sym in _LETTERS)
 
 
 def _rand_pairs(rng: random.Random, max_len: int = WORD_LENGTH) -> list[gl2.LetterPair]:
     # the draws of randint(0, max_len), then per letter choice(_LETTERS),
     # choice((1, -1)) and randint(1, WORD_EXPONENT), each made inline as in
-    # _rand_int (a choice of 3 or of 2 takes 2 bits); a helper call per
-    # draw would cost most of the gain
+    # _rand_int (a choice of 3 or of 2 takes 2 bits)
     getrandbits = rng.getrandbits
     n = max_len + 1
     k = n.bit_length()
@@ -231,6 +259,7 @@ def _rand_pairs(rng: random.Random, max_len: int = WORD_LENGTH) -> list[gl2.Lett
     max_exp = WORD_EXPONENT
     k = max_exp.bit_length()
     pairs = []
+    append = pairs.append
     for _ in range(length):
         sym = getrandbits(2)
         while sym >= 3:
@@ -241,7 +270,7 @@ def _rand_pairs(rng: random.Random, max_len: int = WORD_LENGTH) -> list[gl2.Lett
         exp = getrandbits(k)
         while exp >= max_exp:
             exp = getrandbits(k)
-        pairs.append((_LETTERS[sym], -1 - exp if sign else 1 + exp))
+        append(_PAIRS[sym][sign][exp])
     return pairs
 
 
@@ -250,16 +279,72 @@ def _rand_word(rng: random.Random, max_len: int = WORD_LENGTH) -> gl2.GeneratorW
 
 
 def _rand_matrix(rng: random.Random, max_len: int = WORD_LENGTH) -> gl2.Gl2Matrix:
-    # the draws of _rand_word, evaluated without normalizing them first
-    return gl2.eval_letters(_rand_pairs(rng, max_len))
+    # the draws of _rand_pairs, each letter folded into the matrix as it
+    # is drawn, by gl2._fold_columns' column operation for it (sym 0, 1
+    # and 2 are rho, tau and kappa, the order of _LETTERS): each step
+    # keeps det +-1, so the product is a matrix
+    getrandbits = rng.getrandbits
+    n = max_len + 1
+    k = n.bit_length()
+    length = getrandbits(k)
+    while length >= n:
+        length = getrandbits(k)
+    max_exp = WORD_EXPONENT
+    k = max_exp.bit_length()
+    m11, m12, m21, m22 = 1, 0, 0, 1
+    for _ in range(length):
+        sym = getrandbits(2)
+        while sym >= 3:
+            sym = getrandbits(2)
+        sign = getrandbits(2)
+        while sign >= 2:
+            sign = getrandbits(2)
+        exp = getrandbits(k)
+        while exp >= max_exp:
+            exp = getrandbits(k)
+        if sym == 2:
+            # kappa^(+-(1 + exp)) negates column 1 when 1 + exp is odd
+            if not exp & 1:
+                m11, m21 = -m11, -m21
+            continue
+        e = -1 - exp if sign else 1 + exp
+        if sym:
+            m11, m21 = m11 - e * m12, m21 - e * m22
+        else:
+            m12, m22 = m12 + e * m11, m22 + e * m21
+    return gl2.Gl2Matrix._of(m11, m12, m21, m22)
 
 
 def _rand_aut(rng: random.Random, max_len: int = WORD_LENGTH) -> aut.Automorphism:
-    return aut.Automorphism(_rand_matrix(rng, max_len), _rand_int(rng), _rand_int(rng))
+    # a matrix and two _rand_int(rng); a matrix and int offsets make an
+    # automorphism
+    m = _rand_matrix(rng, max_len)
+    getrandbits = rng.getrandbits
+    bound = ELEMENT_BOUND
+    n = 2 * bound + 1
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    u = getrandbits(k)
+    while u >= n:
+        u = getrandbits(k)
+    return aut.Automorphism._of(m, r - bound, u - bound)
 
 
 def _rand_vector(rng: random.Random) -> aut.InnerVector:
-    return aut.InnerVector(_rand_int(rng), _rand_int(rng))
+    # two _rand_int(rng); int coordinates make a vector
+    getrandbits = rng.getrandbits
+    bound = ELEMENT_BOUND
+    n = 2 * bound + 1
+    k = n.bit_length()
+    p = getrandbits(k)
+    while p >= n:
+        p = getrandbits(k)
+    q = getrandbits(k)
+    while q >= n:
+        q = getrandbits(k)
+    return aut.InnerVector._of(p - bound, q - bound)
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +731,7 @@ def _cocycle_lattice(rng: random.Random) -> None:
                      "coboundary({}) in lattice", a)
     # Cocycle's closed-form check, and the violation it reports, against
     # the linear relator system, on coboundaries and on triples that
-    # break each relator
+    # break each relator; each side as "relator: (p,q)", or "none"
     v, zero = aut.InnerVector, aut.ZERO_VECTOR
     cob = cocycles.coboundary(v(3, -2))
     good = (cob.v_rho, cob.v_tau, cob.v_kappa)
@@ -662,24 +747,25 @@ def _cocycle_lattice(rng: random.Random) -> None:
         expected = _linear_violation(triple)
         try:
             cocycles.Cocycle(*triple)
-            raised = None
+            raised = "none"
         except cocycles.RelatorViolation as exc:
-            raised = exc.relator, exc.value
+            raised = f"{exc.relator}: {exc.value}"
         _check_equal(expected, raised, "Cocycle = linear relator check on {}, {}, {}",
                      *triple)
 
 
 def _linear_violation(
     triple: tuple[aut.InnerVector, aut.InnerVector, aut.InnerVector]
-) -> tuple[str, aut.InnerVector] | None:
+) -> str:
     # the first relator whose pair of rows in the relator system gives a
-    # nonzero (row_p . x, row_q . x) on the flattened triple x
+    # nonzero (p,q) = (row_p . x, row_q . x) on the flattened triple x, as
+    # "relator: (p,q)"; "none" when there is none
     x = cocycles._flatten(triple)
     for name, row_p, row_q in cocycles._relator_rows():
         p, q = sum(map(mul, row_p, x)), sum(map(mul, row_q, x))
         if p or q:
-            return name, aut.InnerVector(p, q)
-    return None
+            return f"{name}: ({p},{q})"
+    return "none"
 
 
 @_sampled("coboundary-roundtrip")

@@ -537,7 +537,7 @@ def _attribute_loads(code):
 @pytest.mark.parametrize("fn", [
     gl2.eval_letters, gl2._normalize, gl2._emit, gl2._euclid,
     gl2._decompose_left, gl2._decompose_right,
-    gl2.format_word, cocycles._by_letter, verify._rand_pairs,
+    gl2.format_word, cocycles._by_letter, verify._rand_pairs, verify._rand_matrix,
 ], ids=lambda fn: fn.__qualname__)
 def test_hot_loops_read_no_enum_attribute(fn):
     # on Python 3.10 and 3.11 each Letter.X read goes through the enum
