@@ -316,13 +316,10 @@ def _compose_power(omega: Automorphism, n: int) -> Automorphism:
 
 def _product_of_powers(factors: Iterable[tuple[Automorphism, int]]) -> Automorphism:
     # the product of omega^n over the (omega, n) in order, folded on data
-    # through compose's core and built once; no factors give the identity.
-    # A plain 1, as in most relator letters, is its factor's own data;
-    # any other n, a bool among them, goes through _power_data's check
+    # through compose's core and built once; no factors give the identity
     result = None
     for omega, n in factors:
-        t = _data(omega)
-        factor = t if n == 1 and type(n) is int else _power_data(t, n)
+        factor = _power_data(_data(omega), n)
         result = factor if result is None else _compose_data(result, factor)
     return IDENTITY_AUT if result is None else _of_data(result)
 
