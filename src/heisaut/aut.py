@@ -60,7 +60,7 @@ from collections.abc import Iterable
 
 from . import gl2
 from .gl2 import Gl2Matrix, _power_by_type, _unit_det
-from .heis import _INT, HeisElement, _check_int, _expect, _read, _Value
+from .heis import _INT, HeisElement, _check_fields, _check_int, _expect, _read, _Value
 
 
 class Automorphism(_Value):
@@ -70,12 +70,8 @@ class Automorphism(_Value):
     __slots__ = __match_args__
 
     def __post_init__(self) -> None:
-        if not isinstance(self.matrix, Gl2Matrix):
-            raise TypeError("matrix must be a Gl2Matrix")
-        r, u = self.r, self.u
-        if not (type(r) is int and type(u) is int):
-            _check_int(r, "r")
-            _check_int(u, "u")
+        _check_fields(self, ("matrix",), Gl2Matrix)
+        _check_fields(self, ("r", "u"))
 
     def __call__(self, g: HeisElement) -> HeisElement:
         return apply(self, g)
@@ -99,10 +95,7 @@ class InnerVector(_Value):
     __slots__ = __match_args__
 
     def __post_init__(self) -> None:
-        p, q = self.p, self.q
-        if not (type(p) is int and type(q) is int):
-            _check_int(p, "p")
-            _check_int(q, "q")
+        _check_fields(self, self.__match_args__)
 
     # sums, differences and negatives of int pairs are int pairs
 
@@ -167,7 +160,7 @@ def apply(omega: Automorphism, g: HeisElement) -> HeisElement:
     p1, q1, p2, q2 = a * m11, a * m21, b * m12, b * m22
     return HeisElement._of(p1 + p2, q1 + q2, _unit_det(m11, m12, m21, m22) * g.c
                            + a * omega.r + b * omega.u
-                           + (p1 * (q1 - m21) + p2 * (q2 - m22 + 2 * q1)) // 2)
+                           + (p1 * (q1 - m21) + p2 * (q2 - m22 + 2 * q1) >> 1))
 
 
 def compose(omega2: Automorphism, omega1: Automorphism) -> Automorphism:
@@ -220,9 +213,9 @@ def _compose_data(n: tuple[int, ...], m: tuple[int, ...]) -> tuple[int, ...]:
     det = _unit_det(n11, n12, n21, n22)
     return (a1 + b1, a2 + b2, c1 + d1, c2 + d2,
             det * r1 + m11 * r2 + m21 * u2
-            + (a1 * (c1 - n21) + b1 * (d1 - n22 + 2 * c1)) // 2,
+            + (a1 * (c1 - n21) + b1 * (d1 - n22 + 2 * c1) >> 1),
             det * u1 + m12 * r2 + m22 * u2
-            + (a2 * (c2 - n21) + b2 * (d2 - n22 + 2 * c2)) // 2)
+            + (a2 * (c2 - n21) + b2 * (d2 - n22 + 2 * c2) >> 1))
 
 
 def invert(omega: Automorphism) -> Automorphism:
@@ -261,8 +254,8 @@ def _invert_data(t: tuple[int, ...]) -> tuple[int, ...]:
     m11, m12, m21, m22, r, u = t
     d = _unit_det(m11, m12, m21, m22)
     return (d * m22, -d * m12, -d * m21, d * m11,
-            m21 * (2 * u - m22 * (m12 - m11 + 1)) // 2 - r * m22,
-            m12 * (2 * r - m11 * (m21 - m22 + 1)) // 2 - u * m11)
+            (m21 * (2 * u - m22 * (m12 - m11 + 1)) >> 1) - r * m22,
+            (m12 * (2 * r - m11 * (m21 - m22 + 1)) >> 1) - u * m11)
 
 
 def power(omega: Automorphism, n: int) -> Automorphism:
@@ -410,7 +403,7 @@ def section(m: Gl2Matrix) -> Automorphism:
 def _section_offsets(m11: int, m12: int, m21: int, m22: int,
                      d: int) -> tuple[int, int]:
     # section's offsets (f(m11, m21), f(m12, m22)) on plain ints, d = det M
-    return (m11 * m21 - m11 - m21 + d) // 2, (m12 * m22 - m12 - m22 + d) // 2
+    return (m11 * m21 - m11 - m21 + d) >> 1, (m12 * m22 - m12 - m22 + d) >> 1
 
 
 def normal_form(omega: Automorphism) -> tuple[InnerVector, Gl2Matrix]:
@@ -452,8 +445,17 @@ def _normal_vector(t: tuple[int, ...]) -> tuple[int, int]:
 
 
 def center_image(omega: Automorphism) -> int:
-    """c-coordinate of omega((0,0,1)); always equals det(M)."""
-    return apply(omega, HeisElement(0, 0, 1)).c
+    """c-coordinate of omega((0,0,1)); always equals det(M).
+
+    Proof.  For g = (0, 0, 1), apply's a and b are 0, so every term of
+    its c-coordinate but det M * c = det M vanishes.  verify's
+    center-det keeps apply itself as the oracle.
+
+    >>> center_image(section(gl2.D))
+    -1
+    """
+    _expect(omega, Automorphism, "omega")
+    return _unit_det(*omega.matrix.entries())
 
 
 def is_aut_plus(omega: Automorphism) -> bool:

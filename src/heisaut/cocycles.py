@@ -54,7 +54,7 @@ from .aut import (
 from .gl2 import (
     _KAPPA, _RHO, _TAU, GeneratorWord, Gl2Matrix, Letter, LetterPair, _affine_power,
     _iter_pairs, _raise_if_unpacking)
-from .heis import _expect, _read, _Value
+from .heis import _check_fields, _expect, _read, _Value
 from .zlattice import Vector, in_lattice, kernel_basis, lattices_equal
 
 
@@ -202,13 +202,8 @@ class Cocycle(_Value):
     __slots__ = __match_args__
 
     def __post_init__(self) -> None:
+        _check_fields(self, self.__match_args__, InnerVector)
         v_rho, v_tau, v_kappa = self.v_rho, self.v_tau, self.v_kappa
-        if not (type(v_rho) is InnerVector and type(v_tau) is InnerVector
-                and type(v_kappa) is InnerVector):
-            for name, v in (("v_rho", v_rho), ("v_tau", v_tau),
-                            ("v_kappa", v_kappa)):
-                if not isinstance(v, InnerVector):
-                    raise TypeError(f"{name} must be an InnerVector")
         if v_rho.q or v_tau.p or v_kappa.q or v_kappa.p != 2 * v_tau.q:
             raise RelatorViolation(*_first_violation(v_rho, v_tau, v_kappa))
 
@@ -384,11 +379,9 @@ class SectionOnGenerators(_Value):
     __slots__ = __match_args__
 
     def __post_init__(self) -> None:
+        _check_fields(self, self.__match_args__, Automorphism)
         for sym, want in gl2.GENERATORS.items():
-            value = self.value(sym)
-            if not isinstance(value, Automorphism):
-                raise TypeError(f"alpha_{sym.name.lower()} must be an Automorphism")
-            got = value.matrix
+            got = self.value(sym).matrix
             if got != want:
                 raise ValueError(
                     f"value on {sym.name.lower()} must project to {want}, got {got}"

@@ -29,7 +29,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import islice
 
 from ._backend import kernels
-from .heis import _INT, _check_int, _expect, _read, _Value
+from .heis import _INT, _check_fields, _check_int, _expect, _read, _Value
 
 
 def _unit_det(m11: int, m12: int, m21: int, m22: int) -> int:
@@ -57,14 +57,8 @@ class Gl2Matrix(_Value):
     __slots__ = __match_args__
 
     def __post_init__(self) -> None:
-        m11, m12, m21, m22 = self.m11, self.m12, self.m21, self.m22
-        if not (type(m11) is int and type(m12) is int
-                and type(m21) is int and type(m22) is int):
-            _check_int(m11, "m11")
-            _check_int(m12, "m12")
-            _check_int(m21, "m21")
-            _check_int(m22, "m22")
-        det = m11 * m22 - m12 * m21
+        _check_fields(self, self.__match_args__)
+        det = self.m11 * self.m22 - self.m12 * self.m21
         if det != 1 and det != -1:
             raise ValueError(
                 f"matrix must have determinant +1 or -1, got {det}"

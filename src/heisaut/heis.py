@@ -20,7 +20,8 @@ size.  Values are immutable and safe to share between threads.
 Every value class of the package (HeisElement, AbPair, and those of gl2,
 aut, cocycles and verify) derives from the private base _Value.  A class
 declares its fields in __match_args__, its own __slots__, and an optional
-__post_init__ where it validates.  The base writes the constructor: an
+__post_init__ where it validates; it checks its fields' types there
+through _check_fields and nowhere else.  The base writes the constructor: an
 __init__ over the fields, in order, that sets each one through its
 slot's setter, bound into the generated code when the class is made,
 and then calls self.__post_init__() if the class has that hook.  The
@@ -59,8 +60,8 @@ from operator import attrgetter
 
 def _check_int(value: object, name: str) -> None:
     # bool is an int subclass; reject it so True never sneaks in as 1.
-    # Value constructors call this only when some field fails the
-    # `type(x) is int` fast path, so plain ints are checked once.
+    # Value constructors reach this only through _check_fields, for a
+    # field that is not a plain int.
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{name} must be an int, got {type(value).__name__}")
 
@@ -71,6 +72,21 @@ def _expect(value: object, cls: type, name: str) -> None:
         article = "an" if cls.__name__[0] in "AEIOU" else "a"
         raise TypeError(f"{name} must be {article} {cls.__name__}, "
                         f"got {type(value).__name__}")
+
+
+def _check_fields(value: object, names: tuple[str, ...], cls: type = int) -> None:
+    # The one field rule of the value classes, called from __post_init__:
+    # each named field, in order, must be a cls.  A field of type cls
+    # exactly passes at once; any other goes to _check_int for int
+    # fields (so an int subclass passes and bool does not) and to
+    # _expect for class fields (so a subclass passes), which raise.
+    for name in names:
+        field = getattr(value, name)
+        if type(field) is not cls:
+            if cls is int:
+                _check_int(field, name)
+            else:
+                _expect(field, cls, name)
 
 
 class _Value:
@@ -166,11 +182,7 @@ class HeisElement(_Value):
     __slots__ = __match_args__
 
     def __post_init__(self) -> None:
-        a, b, c = self.a, self.b, self.c
-        if not (type(a) is int and type(b) is int and type(c) is int):
-            _check_int(a, "a")
-            _check_int(b, "b")
-            _check_int(c, "c")
+        _check_fields(self, self.__match_args__)
 
     def __mul__(self, other: "HeisElement") -> "HeisElement":
         if not isinstance(other, HeisElement):
@@ -194,10 +206,7 @@ class AbPair(_Value):
     __slots__ = __match_args__
 
     def __post_init__(self) -> None:
-        h, p = self.h, self.p
-        if not (type(h) is int and type(p) is int):
-            _check_int(h, "h")
-            _check_int(p, "p")
+        _check_fields(self, self.__match_args__)
 
     # sums and negatives of int pairs are int pairs
 
@@ -260,7 +269,7 @@ def power(g: HeisElement, n: int) -> HeisElement:
     _expect(g, HeisElement, "g")
     _check_int(n, "n")
     p, q = n * g.a, n * g.b
-    return HeisElement._of(p, q, n * g.c + p * (q - g.b) // 2)
+    return HeisElement._of(p, q, n * g.c + (p * (q - g.b) >> 1))
 
 
 def commutator(g1: HeisElement, g2: HeisElement) -> HeisElement:

@@ -47,10 +47,11 @@ Where the library uses a closed form, the suites check it against the
 generic route it replaced: word folds for section() and extend(), the
 compose route for normal_form(), power() and section_difference() (for
 power() also at each conjugacy type of its matrix, in power-types),
-act and the validating Cocycle constructor for coboundary(), the
-relator folds and the validating SectionOnGenerators constructor (in
-parse-roundtrip) for twist(), and the 10 x 6 relator system for
-Cocycle's four lattice conditions and the violation it reports.
+apply() for center_image(), act and the validating Cocycle constructor
+for coboundary(), the relator folds and the validating
+SectionOnGenerators constructor (in parse-roundtrip) for twist(), and
+the 10 x 6 relator system for Cocycle's four lattice conditions and the
+violation it reports.
 word-long checks the product tree by which eval_letters multiplies the
 runs of a word of more than 32 letters against one column fold over
 all its letters.
@@ -62,8 +63,8 @@ changing it:
   power-oracle, against the homomorphism laws, iterated multiplication
   and gl2's own matrix product;
 - every formula that reads det M from its entries mod 4 (normal_form,
-  section): center-det, normal-form, section-hom and project-section,
-  on matrices of det 1 and -1, against Gl2Matrix.det;
+  section, center_image): center-det, normal-form, section-hom and
+  project-section, on matrices of det 1 and -1, against Gl2Matrix.det;
 - the vector and cocycle builders that skip the constructors' checks
   (act, the arithmetic of vectors and cocycles, coboundary,
   solve_coboundary, extend, twist): exactness, inner-conjugation,
@@ -679,7 +680,10 @@ def _center_det(rng: random.Random) -> None:
     omega = _rand_aut(rng)
     image = aut.center_image(omega)
     _check_equal(omega.matrix.det, image, "omega={}", omega)
-    _check_equal(aut.apply(omega, heis.Z) == heis.Z, aut.is_aut_plus(omega),
+    # the generic route: center_image reads det M in closed form
+    z_image = aut.apply(omega, heis.Z)
+    _check_equal(z_image.c, image, "center_image against apply omega={}", omega)
+    _check_equal(z_image == heis.Z, aut.is_aut_plus(omega),
                  "is_aut_plus against fixing z omega={}", omega)
 
 

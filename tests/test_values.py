@@ -1,9 +1,12 @@
 """What the value constructors accept and reject, field by field, and
 the contract every value class keeps.
 
-Plain ints take a fast path in each constructor; everything else goes
-through heis._check_int.  These tests pin the observable behaviour of
-both routes: the exception type, the field it names, and the messages.
+Each constructor checks its fields through heis._check_fields: a value
+of the field's exact type passes at once, and everything else goes
+through heis._check_int or heis._expect.  These tests pin the observable
+behaviour of both routes: the exception type, the field it names, and
+the messages.  An AST walk pins that no constructor checks a field type
+another way.
 The contract tests pin what the classes share: the constructor's
 parameters, messages and validation hook, the unchecked _of of the
 classes with a hook, keyword construction, repr, == and hash within one
@@ -13,6 +16,7 @@ and zlattice pins the boundary: object() in any required parameter
 raises a TypeError that names it.
 """
 
+import ast
 import copy
 import inspect
 import operator
@@ -21,6 +25,7 @@ import pickle
 import pytest
 
 from collections import namedtuple
+from pathlib import Path
 
 from heisaut import aut, cocycles, gl2, heis, verify, zlattice
 from heisaut.aut import ZERO_VECTOR, Automorphism, InnerVector
@@ -120,12 +125,13 @@ def test_matrix_type_checked_before_determinant():
     (1, 0, 0, 1), [[1, 0], [0, 1]], None, "[[1,0],[0,1]]",
 ], ids=["tuple", "list", "none", "str"])
 def test_automorphism_needs_a_matrix(matrix):
-    with pytest.raises(TypeError, match="^matrix must be a Gl2Matrix$"):
+    with pytest.raises(TypeError, match=rf"^matrix must be a Gl2Matrix, "
+                                        rf"got {type(matrix).__name__}$"):
         Automorphism(matrix, 0, 0)
 
 
 def test_automorphism_matrix_checked_before_offsets():
-    with pytest.raises(TypeError, match="^matrix must be a Gl2Matrix$"):
+    with pytest.raises(TypeError, match="^matrix must be a Gl2Matrix, got tuple$"):
         Automorphism((1, 0, 0, 1), 1.0, None)
 
 
@@ -208,12 +214,14 @@ def value_cases():
 def test_value_field_type_rejected_by_name(cls, index, name, good, kind, bad):
     args = list(good)
     args[index] = bad
-    with pytest.raises(TypeError, match=rf"^{name} must be an {kind}$"):
+    with pytest.raises(TypeError, match=rf"^{name} must be an {kind}, "
+                                        rf"got {type(bad).__name__}$"):
         cls(*args)
 
 
 def test_section_rejects_bare_matrices():
-    with pytest.raises(TypeError, match="^alpha_rho must be an Automorphism$"):
+    with pytest.raises(TypeError, match="^alpha_rho must be an Automorphism, "
+                                        "got Gl2Matrix$"):
         SectionOnGenerators(gl2.A, gl2.B, gl2.D)
 
 
@@ -222,6 +230,44 @@ def test_value_field_subclass_accepted():
         pass
 
     assert Cocycle(V(0, 0), ZERO_VECTOR, ZERO_VECTOR).v_rho.q == 0
+
+
+def test_section_types_checked_before_projections():
+    # alpha_rho projects wrongly, but alpha_tau's type is named first
+    with pytest.raises(TypeError, match="^alpha_tau must be an Automorphism, "
+                                        "got Gl2Matrix$"):
+        SectionOnGenerators(Automorphism(gl2.B, 0, 0), gl2.B, gl2.D)
+
+
+def _called(node):
+    # the name a call calls, bare or as an attribute; None for any other node
+    if isinstance(node, ast.Call):
+        func = node.func
+        return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    return None
+
+
+def test_value_fields_checked_only_through_check_fields():
+    # one field rule: every __post_init__ of the package checks its
+    # fields' types through heis._check_fields alone, never by its own
+    # call of _check_int, _expect or isinstance or a test of type(...)
+    through_rule, by_hand = set(), []
+    for path in sorted(Path(heis.__file__).parent.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for hook in cls.body:
+                if not (isinstance(hook, ast.FunctionDef) and hook.name == "__post_init__"):
+                    continue
+                for node in ast.walk(hook):
+                    if _called(node) == "_check_fields":
+                        through_rule.add(cls.name)
+                    elif _called(node) in ("_check_int", "_expect", "isinstance") or (
+                            isinstance(node, ast.Compare)
+                            and "type" in map(_called, [node.left, *node.comparators])):
+                        by_hand.append(f"{path.name}:{node.lineno}")
+    assert by_hand == []
+    assert through_rule == {cls.__name__ for cls in VALIDATING} - {"GeneratorWord"}
 
 
 # ---------------------------------------------------------------------------
